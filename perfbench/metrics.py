@@ -1,27 +1,32 @@
-"""The benchmark's metrics: units, direction, bounds and what moves what.
+"""What each metric means and, for per-layer metrics, what it moves.
 
-``BENCHMARK.json`` carries only ``name``/``unit``/``better`` (and
-``bound`` for end-to-end metrics).  This table is the fuller record: for
-every per-layer metric, the end-to-end metric it should move and the
+``BENCHMARK.json`` is the one record of every metric's name, unit,
+direction and (end-to-end) bound, and of why each workload was chosen;
+:func:`load_spec` reads it.  This module holds only what that file cannot:
+for every per-layer metric, the end-to-end metric it should move and the
 workload(s) where that shows, so later changes can cite names instead of
-restating them.  ``perfbench/tests/test_metrics_table.py`` keeps the two
-in agreement.
+restating them, plus a line on how each metric is measured.
 
-Times and rates of CPU-bound work (set-up, cells, cold runs, warm
-replays, publish) are in reference seconds — see "Machine-speed normalisation" in
-:mod:`perfbench.worker`; query latency and rate are as measured.
+Times and rates of CPU-bound single-process work (set-up, cells, warm
+replays, publish) are in reference seconds — see "Machine-speed
+normalisation" in :mod:`perfbench.worker`; query latency and rate, and
+the cold campaign rate, are as measured.
 
 Every workload runs the same two phases — its cells simulated one after
 another in-process (the kernel phase), then the same cells as a campaign
 through cold run, warm replay, publish and ``repro-serve`` (the pipeline
 phase) — so every metric below is measured on every workload.  The
-``workloads`` column says where a metric is *expected to move*.
+``workloads`` field says where a metric is *expected to move*.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+import json
+from pathlib import Path
+from typing import Dict, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
 
 KERNEL = ("paper_cells", "dense_cells")
 PAPER = ("paper_cells",)
@@ -30,169 +35,171 @@ CAMPAIGN = ("campaign_e2e",)
 ALL = ("paper_cells", "dense_cells", "campaign_e2e")
 
 
-@dataclasses.dataclass(frozen=True)
-class Metric:
-    name: str
-    unit: str
-    better: str
-    #: End-to-end only: allowed worsening as a share of the parent median.
-    bound: Optional[float] = None
-    #: Per-layer only: the end-to-end metric this layer metric should move.
-    moves: str = ""
-    workloads: Tuple[str, ...] = ALL
-    doc: str = ""
+def load_spec(root: Path = ROOT) -> dict:
+    """The checkout's ``BENCHMARK.json``."""
+    return json.loads((root / "BENCHMARK.json").read_text())
 
 
-END_TO_END = (
-    Metric("setup_s", "s", "lower", 0.25, doc=(
+END_TO_END_DOCS: Dict[str, str] = {
+    "setup_s": (
         "median over 5 fresh processes of: process start until the first "
         "cell can start (imports, manifest expansion, first scenario "
         "build, executor/cache/store construction) plus repro-serve "
-        "start until the first /healthz answers")),
-    Metric("cells_per_s", "cells/s", "higher", 0.25, doc=(
+        "start until the first /healthz answers"),
+    "cells_per_s": (
         "kernel phase: cells simulated per second in-process (no cache, no "
-        "executor); median over passes")),
-    Metric("warm_cells_per_s", "cells/s", "higher", 0.25, doc=(
+        "executor); median over passes"),
+    "warm_cells_per_s": (
         "the same run_campaign call again warm (zero simulations); "
-        "median over 50 ms batches")),
-    Metric("publish_s", "s", "lower", 0.25, doc=(
+        "median over 50 ms batches"),
+    "publish_s": (
         "publish_campaign of the unchanged campaign into its store (renders, "
         "hashes and re-indexes; blobs deduplicated); median over 50 ms "
-        "batches")),
-    Metric("query_tail_ms", "ms", "lower", 0.25, doc=(
+        "batches"),
+    "query_tail_ms": (
         "the highest percentile with >= 10 samples beyond it (the "
-        "percentile and sample count are printed with every run)")),
-    Metric("queries_per_s", "req/s", "higher", 0.25, doc=(
-        "requests completed per second by the closed loop")),
-    Metric("peak_rss_mb", "MB", "lower", 0.2, doc=(
+        "percentile and sample count are printed with every run)"),
+    "queries_per_s": "requests completed per second by the closed loop",
+    "peak_rss_mb": (
         "peak resident set of the workload process or any child it "
-        "waited for (pool workers, repro-serve)")),
-)
+        "waited for (pool workers, repro-serve)"),
+}
 
 
-def _k(name, unit, better, moves, workloads, doc=""):
-    return Metric(name, unit, better, moves=moves, workloads=workloads,
-                  doc=doc)
+@dataclasses.dataclass(frozen=True)
+class Move:
+    """The end-to-end metric a per-layer metric should move, and where."""
+
+    moves: str
+    workloads: Tuple[str, ...]
+    doc: str = ""
 
 
-PER_LAYER = (
+PER_LAYER: Dict[str, Move] = {
     # sim
-    _k("sim.self_s", "s", "lower", "cells_per_s", DENSE,
-       "traced kernel wall minus every top-level span: the event loop"),
-    _k("sim.events", "count", "lower", "cells_per_s", DENSE),
-    _k("sim.events_per_s", "events/s", "higher", "cells_per_s", DENSE,
-       "untraced events over untraced kernel-pass wall time"),
-    _k("sim.fire_groups", "count", "lower", "cells_per_s", DENSE),
-    _k("sim.mean_group_size", "members", "higher", "cells_per_s", DENSE),
-    _k("sim.fire_group_requeued", "count", "lower", "cells_per_s", DENSE),
-    _k("sim.peak_heap_size", "entries", "lower", "cells_per_s", DENSE,
-       "largest over the pass's cells"),
-    _k("sim.heap_compactions", "count", "lower", "cells_per_s", DENSE),
-    _k("sim.mean_batch_size", "events", "higher", "cells_per_s", DENSE),
+    "sim.self_s": Move("cells_per_s", DENSE,
+                       "traced kernel wall minus every top-level span: the "
+                       "event loop"),
+    "sim.events": Move("cells_per_s", DENSE),
+    "sim.events_per_s": Move("cells_per_s", DENSE,
+                             "untraced events over untraced kernel-pass "
+                             "wall time"),
+    "sim.fire_groups": Move("cells_per_s", DENSE),
+    "sim.mean_group_size": Move("cells_per_s", DENSE),
+    "sim.fire_group_requeued": Move("cells_per_s", DENSE),
+    "sim.peak_heap_size": Move("cells_per_s", DENSE,
+                               "largest over the pass's cells"),
+    "sim.heap_compactions": Move("cells_per_s", DENSE),
+    "sim.mean_batch_size": Move("cells_per_s", DENSE),
     # net
-    _k("net.channel.self_s", "s", "lower", "cells_per_s", KERNEL,
-       "numpy prefilter on dense_cells, scalar prefilter on paper_cells"),
-    _k("net.channel.us_per_transmit", "us", "lower", "cells_per_s", KERNEL,
-       "channel self time per transmission (traced)"),
-    _k("net.channel.transmissions", "count", "lower", "cells_per_s", KERNEL),
-    _k("net.channel.mean_candidate_set", "nodes", "lower", "cells_per_s",
-       KERNEL, "sanity: below 48 on paper_cells, above 48 on dense_cells"),
-    _k("net.channel.mean_refined_set", "nodes", "lower", "cells_per_s",
-       KERNEL),
-    _k("net.channel.prefilter_hit_rate", "ratio", "higher", "cells_per_s",
-       KERNEL, "prefilter survivors over candidates examined"),
-    _k("net.interface.self_s", "s", "lower", "cells_per_s", KERNEL),
-    _k("net.interface.frames_collided", "count", "lower", "cells_per_s",
-       KERNEL),
-    _k("net.packet.copy_calls", "count", "lower", "cells_per_s", KERNEL),
-    _k("net.packet.copy_s", "s", "lower", "cells_per_s", KERNEL,
-       "inclusive traced time of Packet.copy"),
-    _k("net.queue.drops", "count", "lower", "cells_per_s", KERNEL),
-    _k("net.node.self_s", "s", "lower", "cells_per_s", KERNEL,
-       "callbacks owned by Node (kept so the self times add up)"),
+    "net.channel.self_s": Move("cells_per_s", KERNEL,
+                               "numpy prefilter on dense_cells, scalar "
+                               "prefilter on paper_cells"),
+    "net.channel.us_per_transmit": Move("cells_per_s", KERNEL,
+                                        "channel self time per transmission "
+                                        "(traced)"),
+    "net.channel.transmissions": Move("cells_per_s", KERNEL),
+    "net.channel.mean_candidate_set": Move("cells_per_s", KERNEL,
+                                           "sanity: below 48 on paper_cells, "
+                                           "above 48 on dense_cells"),
+    "net.channel.mean_refined_set": Move("cells_per_s", KERNEL),
+    "net.channel.prefilter_hit_rate": Move("cells_per_s", KERNEL,
+                                           "prefilter survivors over "
+                                           "candidates examined"),
+    "net.interface.self_s": Move("cells_per_s", KERNEL),
+    "net.interface.frames_collided": Move("cells_per_s", KERNEL),
+    "net.packet.copy_calls": Move("cells_per_s", KERNEL),
+    "net.packet.copy_s": Move("cells_per_s", KERNEL,
+                              "inclusive traced time of Packet.copy"),
+    "net.queue.drops": Move("cells_per_s", KERNEL),
+    "net.node.self_s": Move("cells_per_s", KERNEL,
+                            "callbacks owned by Node (kept so every traced "
+                            "layer has a self time)"),
     # mobility
-    _k("mobility.self_s", "s", "lower", "cells_per_s", PAPER,
-       "most in the 20 m/s cells"),
-    _k("mobility.segment_at_calls", "count", "lower", "cells_per_s", PAPER),
+    "mobility.self_s": Move("cells_per_s", PAPER, "most in the 20 m/s cells"),
+    "mobility.segment_at_calls": Move("cells_per_s", PAPER),
     # mac
-    _k("mac.self_s", "s", "lower", "cells_per_s", KERNEL),
-    _k("mac.data_tx_attempts", "count", "lower", "cells_per_s", KERNEL),
-    _k("mac.retries", "count", "lower", "cells_per_s", KERNEL,
-       "ACK/CTS timeouts that led to another attempt (traced count of "
-       "retry decisions minus retry drops)"),
-    _k("mac.retry_drops", "count", "lower", "cells_per_s", KERNEL),
+    "mac.self_s": Move("cells_per_s", KERNEL),
+    "mac.data_tx_attempts": Move("cells_per_s", KERNEL),
+    "mac.retries": Move("cells_per_s", KERNEL,
+                        "ACK/CTS timeouts that led to another attempt (traced "
+                        "count of retry decisions minus retry drops)"),
+    "mac.retry_drops": Move("cells_per_s", KERNEL),
     # routing / core
-    _k("routing.self_s", "s", "lower", "cells_per_s", PAPER,
-       "DSR/AODV cells"),
-    _k("routing.control_packets", "count", "lower", "cells_per_s", PAPER),
-    _k("core.self_s", "s", "lower", "cells_per_s", PAPER, "MTS cells"),
-    _k("core.check_rounds", "count", "lower", "cells_per_s", PAPER),
-    _k("core.path_switches", "count", "lower", "cells_per_s", PAPER),
+    "routing.self_s": Move("cells_per_s", PAPER, "DSR/AODV cells"),
+    "routing.control_packets": Move("cells_per_s", PAPER),
+    "core.self_s": Move("cells_per_s", PAPER, "MTS cells"),
+    "core.check_rounds": Move("cells_per_s", PAPER),
+    "core.path_switches": Move("cells_per_s", PAPER),
     # transport / apps / metrics / security
-    _k("transport.self_s", "s", "lower", "cells_per_s", KERNEL),
-    _k("transport.segments_sent", "count", "lower", "cells_per_s", KERNEL),
-    _k("transport.retransmissions", "count", "lower", "cells_per_s", KERNEL),
-    _k("transport.timeouts", "count", "lower", "cells_per_s", KERNEL),
-    _k("apps.self_s", "s", "lower", "cells_per_s", KERNEL),
-    _k("metrics.self_s", "s", "lower", "cells_per_s", KERNEL),
-    _k("metrics.collect_s", "s", "lower", "cells_per_s", KERNEL,
-       "inclusive traced time of Scenario.collect_results"),
-    _k("security.self_s", "s", "lower", "cells_per_s", KERNEL),
-    _k("other.self_s", "s", "lower", "cells_per_s", KERNEL,
-       "self time of layers without a metric of their own (net.packet, "
-       "whose time is also net.packet.copy_s, or code outside repro)"),
+    "transport.self_s": Move("cells_per_s", KERNEL),
+    "transport.segments_sent": Move("cells_per_s", KERNEL),
+    "transport.retransmissions": Move("cells_per_s", KERNEL),
+    "transport.timeouts": Move("cells_per_s", KERNEL),
+    "apps.self_s": Move("cells_per_s", KERNEL),
+    "metrics.self_s": Move("cells_per_s", KERNEL),
+    "metrics.collect_s": Move("cells_per_s", KERNEL,
+                              "inclusive traced time of "
+                              "Scenario.collect_results"),
+    "security.self_s": Move("cells_per_s", KERNEL),
+    "other.self_s": Move("cells_per_s", KERNEL,
+                         "self time of layers without a metric of their own "
+                         "(net.packet, whose time is also net.packet.copy_s, "
+                         "or code outside repro)"),
     # scenario
-    _k("scenario.build_s", "s", "lower", "setup_s", KERNEL,
-       "untraced build_scenario time summed over one pass"),
-    _k("scenario.self_s", "s", "lower", "setup_s", KERNEL,
-       "traced ScenarioBuilder.build self time"),
+    "scenario.build_s": Move("setup_s", KERNEL,
+                             "untraced build_scenario time summed over one "
+                             "pass"),
+    "scenario.self_s": Move("setup_s", KERNEL,
+                            "traced ScenarioBuilder.build self time"),
     # exec
-    _k("cold_cells_per_s", "cells/s", "higher", "", CAMPAIGN,
-       "run_campaign on a cold cache through ClusterExecutor(shards=nproc), "
-       "scaled by the workers' own cell times; per-layer, not end-to-end, "
-       "because its nproc workers on the shared 2-vCPU VM spread 13-52 % "
-       "over 5 seeds even as the median of 3 repeats"),
-    _k("exec.cold.spawn_s", "s", "lower", "cold_cells_per_s", CAMPAIGN),
-    _k("exec.cold.serialize_s", "s", "lower", "cold_cells_per_s", CAMPAIGN),
-    _k("exec.cold.simulate_s", "s", "lower", "cold_cells_per_s", CAMPAIGN),
-    _k("exec.cold.stream_s", "s", "lower", "cold_cells_per_s", CAMPAIGN),
-    _k("exec.cold.merge_s", "s", "lower", "cold_cells_per_s", CAMPAIGN),
-    _k("exec.cold.cache_write_s", "s", "lower", "cold_cells_per_s", CAMPAIGN),
-    _k("exec.workers_spawned", "count", "lower", "cold_cells_per_s",
-       CAMPAIGN),
-    _k("exec.workers_reused", "count", "higher", "cold_cells_per_s",
-       CAMPAIGN),
-    _k("exec.warm.lookup_s", "s", "lower", "warm_cells_per_s", CAMPAIGN),
-    _k("exec.cells_from_cache", "count", "higher", "warm_cells_per_s",
-       CAMPAIGN),
-    _k("exec.cache.files", "count", "lower", "warm_cells_per_s", CAMPAIGN,
-       "from ResultCache.stats(); also moves cold_cells_per_s"),
-    _k("exec.cache.bytes", "bytes", "lower", "warm_cells_per_s", CAMPAIGN,
-       "from ResultCache.stats(); also moves cold_cells_per_s"),
+    "cold_cells_per_s": Move("", CAMPAIGN,
+                             "cells over the measured wall time of one "
+                             "run_campaign on the empty cache through "
+                             "ClusterExecutor(shards=nproc); per-layer, not "
+                             "end-to-end, because its nproc workers on a "
+                             "shared 2-vCPU VM spread 13-52 % over 5 seeds"),
+    "exec.cold.spawn_s": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.cold.serialize_s": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.cold.simulate_s": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.cold.stream_s": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.cold.merge_s": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.cold.cache_write_s": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.workers_spawned": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.workers_reused": Move("cold_cells_per_s", CAMPAIGN),
+    "exec.warm.lookup_s": Move("warm_cells_per_s", CAMPAIGN),
+    "exec.cells_from_cache": Move("warm_cells_per_s", CAMPAIGN),
+    "exec.cache.files": Move("warm_cells_per_s", CAMPAIGN,
+                             "from ResultCache.stats(); also moves "
+                             "cold_cells_per_s"),
+    "exec.cache.bytes": Move("warm_cells_per_s", CAMPAIGN,
+                             "from ResultCache.stats(); also moves "
+                             "cold_cells_per_s"),
     # campaign / experiments
-    _k("campaign.expand_s", "s", "lower", "setup_s", ALL),
-    _k("experiments.render_s", "s", "lower", "publish_s", ALL,
-       "format_figure + render_figures + table1_from_sweep per publish"),
-    _k("campaign.store.put_s", "s", "lower", "publish_s", ALL,
-       "ArtifactStore.put_* time per publish"),
-    _k("campaign.store.bytes_written", "bytes", "lower", "publish_s", ALL),
-    _k("campaign.store.index_reads_per_query", "reads/req", "lower",
-       "queries_per_s", ALL),
+    "campaign.expand_s": Move("setup_s", ALL),
+    "experiments.render_s": Move("publish_s", ALL,
+                                 "format_figure + render_figures + "
+                                 "table1_from_sweep per publish"),
+    "campaign.store.put_s": Move("publish_s", ALL,
+                                 "ArtifactStore.put_* time per publish"),
+    "campaign.store.bytes_written": Move("publish_s", ALL),
+    "campaign.store.index_reads_per_query": Move(
+        "queries_per_s", ALL,
+        "ArtifactStore.get_index plus index_bytes calls per request"),
     # cli.serve
-    _k("query_p50_ms", "ms", "lower", "queries_per_s", ALL,
-       "median client latency; per-layer, not end-to-end, because the "
-       "keep-alive stall makes latency bimodal (~1 ms or ~43 ms per "
-       "request) and the median flips between the modes from run to run"),
-    _k("serve.handler_p50_ms", "ms", "lower", "queries_per_s", ALL),
-    _k("serve.handler_tail_ms", "ms", "lower", "query_tail_ms", ALL,
-       "same percentile rule as query_tail_ms"),
-    _k("serve.wait_p50_ms", "ms", "lower", "queries_per_s", ALL,
-       "client latency minus handler time: socket and ACK wait"),
+    "query_p50_ms": Move("queries_per_s", ALL,
+                         "median client latency; per-layer, not end-to-end, "
+                         "because the keep-alive stall makes latency bimodal "
+                         "(~1 ms or ~43 ms per request) and the median flips "
+                         "between the modes from run to run"),
+    "serve.handler_p50_ms": Move("queries_per_s", ALL),
+    "serve.handler_tail_ms": Move("query_tail_ms", ALL,
+                                  "same percentile rule as query_tail_ms"),
+    "serve.wait_p50_ms": Move("queries_per_s", ALL,
+                              "client latency minus handler time: socket "
+                              "and ACK wait"),
     # tracing itself
-    _k("trace.overhead_frac", "ratio", "lower", "", ALL,
-       "(traced - untraced) / untraced wall of one kernel pass"),
-)
-
-END_TO_END_NAMES = tuple(metric.name for metric in END_TO_END)
-PER_LAYER_NAMES = tuple(metric.name for metric in PER_LAYER)
-UNITS = {metric.name: metric.unit for metric in END_TO_END + PER_LAYER}
+    "trace.overhead_frac": Move("", ALL,
+                                "(traced - untraced) / untraced wall of one "
+                                "kernel pass"),
+}

@@ -77,11 +77,25 @@ def test_injected_wrong_bytes_count_into_failed_frac(server):
 def test_route_sequence_is_a_pure_function_of_the_seed():
     routes = {kind: [workloads.Route(kind, f"/{kind}/{i}", 200, b"")
                      for i in range(3)]
-              for kind, _ in workloads.ROUTE_WEIGHTS}
+              for kind in workloads.ROUTE_KINDS}
     first = workloads.route_sequence(routes, 11)
     second = workloads.route_sequence(routes, 11)
     assert [next(first).path for _ in range(50)] == \
         [next(second).path for _ in range(50)]
+
+
+def test_route_mix_is_uniform_over_served_routes_plus_a_404_share():
+    routes = {"figure": [workloads.Route("figure", f"/f{i}", 200, b"")
+                         for i in range(9)],
+              "index": [workloads.Route("index", "/i", 200, b"")],
+              "not_found": [workloads.Route("not_found", "/x", 404, None)]}
+    sequence = workloads.route_sequence(routes, 3)
+    draws = [next(sequence).path for _ in range(20_000)]
+    share = draws.count("/x") / len(draws)
+    assert abs(share - workloads.NOT_FOUND_SHARE) < 0.01
+    # ten served routes, each drawn about equally often
+    served = [path for path in draws if path != "/x"]
+    assert abs(served.count("/i") / len(served) - 0.1) < 0.01
 
 
 def test_build_routes_expects_text_routes_with_a_trailing_newline():

@@ -6,8 +6,9 @@ import hashlib
 
 import pytest
 
-from perfbench.spans import SpanRecorder
+from perfbench.spans import SpanRecorder, Tally
 from perfbench.tracing import Patches, install_kernel
+from perfbench.worker import kernel_pass
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.runner import build_scenario
 from repro.sim.engine import Simulator
@@ -68,6 +69,33 @@ def test_patches_restore_removes_added_attributes():
 
 def digest(result) -> str:
     return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+def tiny_configs():
+    return [ScenarioConfig(protocol="DSR", n_nodes=12,
+                           field_size=(500.0, 500.0), sim_time=1.5,
+                           max_speed=5.0, seed=seed) for seed in (1, 2)]
+
+
+def test_traced_pass_accounts_every_span_to_a_cell_window(traced):
+    tally = Tally()
+    kernel_pass(tiny_configs(), [0, 1], tally, {}, "traced", traced)
+    assert (tally.failed, tally.reasons) == (0, [])
+    assert traced.top_level_ns > 0
+
+
+def test_spans_outside_the_cell_windows_are_a_counted_failure(
+        traced, monkeypatch):
+    from perfbench import worker
+
+    def digest_in_a_span(result):
+        return traced.call("other", "digest", digest, result)
+
+    monkeypatch.setattr(worker, "digest_of", digest_in_a_span)
+    tally = Tally()
+    worker.kernel_pass(tiny_configs(), [0, 1], tally, {}, "traced", traced)
+    assert tally.failed == 1
+    assert "outside the timed cell windows" in tally.reasons[0]
 
 
 @pytest.mark.parametrize("protocol", ["MTS", "DSR"])

@@ -28,11 +28,12 @@ the shared 2-vCPU VM the benchmark was tuned on, the speed of identical
 work drifts by up to 1.7x over tens of seconds; in 17 consecutive 5 s
 windows the median time of one fixed cell spread 25 % (quartile distance
 over median) while its ratio to the interleaved reference loop spread
-2 %.  A cold run's ``nproc`` workers are normalised by their own cell
-times instead (see :func:`pipeline_phase`): reference samples taken in
-this process tracked their speed worse than no correction did.
-The query window is not normalised: its latencies are dominated by a
-fixed 40 ms delayed-ACK timer and repeat within 1 % as measured.
+2 %.  The cold campaign rate is not normalised: its ``nproc`` pool
+workers run in other processes, and reference samples taken in this
+process tracked their speed worse than no correction did; it is a
+per-layer metric with no bound.  The query window is not normalised
+either: its latencies are dominated by a fixed 40 ms delayed-ACK timer
+and repeat within 1 % as measured.
 """
 
 from __future__ import annotations
@@ -193,13 +194,17 @@ def add_counters(total: Dict[str, int], counters: Dict[str, int]) -> None:
 
 
 def kernel_pass(configs, order, tally: Tally, digests: Dict[int, str],
-                label: str) -> dict:
+                label: str, recorder: Optional[SpanRecorder] = None) -> dict:
     """Simulate every cell once in ``order``; returns timings + counters.
 
     ``wall_ns`` covers only the build, run and result collection of each
-    cell, not the benchmark's own digesting, counter reading and reference
-    samples; ``norm_s`` is the same time normalised segment by segment.  A
-    cell seen before must reproduce its earlier digest.
+    cell (its timed window), not the benchmark's own digesting, counter
+    reading and reference samples; ``norm_s`` is the same time normalised
+    segment by segment.  A cell seen before must reproduce its earlier
+    digest.  With a ``recorder`` (the traced pass), every top-level span
+    must lie inside a timed window: top-level span time may neither grow
+    between windows nor grow by more than a window's own duration, so the
+    self times plus ``sim.self_s`` account for ``wall_ns``.
     """
     from repro.scenario.runner import build_scenario
 
@@ -207,7 +212,14 @@ def kernel_pass(configs, order, tally: Tally, digests: Dict[int, str],
     norm_s = 0.0
     counters: Dict[str, int] = {}
     clock = time.perf_counter_ns
+
+    def spans() -> int:
+        return recorder.top_level_ns if recorder is not None else 0
+
+    spans_start = spans()
+    spans_inside = 0
     for index in order:
+        before = spans()
         try:
             start = clock()
             scenario = build_scenario(configs[index])
@@ -218,6 +230,12 @@ def kernel_pass(configs, order, tally: Tally, digests: Dict[int, str],
             tally.fail(f"{label}: cell {index} raised\n"
                        f"{traceback.format_exc(limit=3)}")
             continue
+        finally:
+            grown = spans() - before
+            spans_inside += grown
+        if recorder is not None:
+            tally.check(grown <= end - start,
+                        f"{label}: cell {index} spans exceed its window")
         wall_ns += end - start
         build_ns += built - start
         segment_ns += end - start
@@ -231,6 +249,9 @@ def kernel_pass(configs, order, tally: Tally, digests: Dict[int, str],
         add_counters(counters, cell_counters(scenario, result))
     if segment_ns:
         norm_s += normalized(segment_ns / 1e9, reference_s())
+    if recorder is not None:
+        tally.check(spans() - spans_start == spans_inside,
+                    f"{label}: spans outside the timed cell windows")
     return {"wall_ns": wall_ns, "norm_s": norm_s, "build_s": build_ns / 1e9,
             "counters": counters}
 
@@ -251,7 +272,6 @@ def kernel_phase(configs, order, min_seconds: float, tally: Tally,
     raw = [len(order) * 1e9 / p["wall_ns"] for p in passes]
     return {"passes": len(passes), "cells_per_s": statistics.median(rates),
             "raw_cells_per_s": statistics.median(raw),
-            "norm_s": statistics.median([p["norm_s"] for p in passes]),
             "counters": passes[0]["counters"]}
 
 
@@ -406,16 +426,12 @@ def sweep_digests(report) -> Dict[str, str]:
 
 
 def pipeline_phase(ctx: Context, tally: Tally, kernel_digests: Dict[int, str],
-                   kernel_norm_s: float, query_seconds: float,
-                   recorder: Optional[SpanRecorder],
+                   query_seconds: float, recorder: Optional[SpanRecorder],
                    serve_spans: Optional[Path]) -> dict:
     """Cold campaign, warm replays, publishes, then serve and query.
 
-    ``kernel_norm_s`` is the normalised in-process time of all the cells:
-    a cold run's wall time is scaled by it over the workers' own summed
-    cell time (the ``simulate`` stage), so the speed of the machine the
-    workers ran on cancels the same way the reference loop cancels it for
-    single-process timings.
+    The cold run is one ``run_campaign`` into the empty cache built at
+    set-up; its rate is cells over its measured wall time.
     """
     from repro.campaign.runner import publish_campaign, run_campaign
     from repro.exec import ClusterExecutor
@@ -440,9 +456,7 @@ def pipeline_phase(ctx: Context, tally: Tally, kernel_digests: Dict[int, str],
     with ctx.executor as executor:
         started = time.perf_counter()
         cold = run_campaign(spec, scheduler=executor)
-        elapsed = time.perf_counter() - started
-    worker_s = executor.total_stage_seconds["simulate"]
-    cold_s = elapsed * kernel_norm_s / worker_s if worker_s else elapsed
+        cold_s = time.perf_counter() - started
     tally.check(cold.simulated == total_cells,
                 f"cold run simulated {cold.simulated} of {total_cells} cells")
     check_cells(cold, "cold run")
@@ -563,9 +577,11 @@ def serve_metrics(queries: dict, spans_path: Optional[Path]) -> dict:
             "handler_tail_pct": h_pct,
             "handler_samples": h_count,
             "wait_p50_ms": statistics.median(waits),
+            # repro-serve reads the index file through both calls
             "index_reads_per_query": (
-                sum(record["store_calls"].get("get_index", 0)
-                    for record in records) / len(records)),
+                sum(record["store_calls"].get(name, 0) for record in records
+                    for name in ("get_index", "index_bytes"))
+                / len(records)),
         })
     return out
 
@@ -597,7 +613,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                         args.seconds * KERNEL_SHARE, tally,
                                         digests)
         pipeline = pipeline_phase(ctx, tally, digests,
-                                  report["kernel"]["norm_s"],
                                   args.seconds * QUERY_SHARE, None, None)
         report["serve"] = serve_metrics(pipeline["queries"], None)
     else:
@@ -609,14 +624,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         install_pipeline(pipeline_recorder)
         spans_path = work / "serve_spans.json"
         pipeline = pipeline_phase(ctx, tally, digests,
-                                  report["untraced"]["norm_s"],
                                   args.seconds * QUERY_SHARE / 2,
                                   pipeline_recorder, spans_path)
         report["serve"] = serve_metrics(pipeline["queries"], spans_path)
         recorder = SpanRecorder()
         install_kernel(recorder)
         traced = kernel_pass(ctx.configs, ctx.order, tally, digests,
-                             "traced pass")
+                             "traced pass", recorder)
         tally.check(traced["counters"] == report["untraced"]["counters"],
                     "tracing changed the program's counters")
         report["traced"] = traced

@@ -24,35 +24,21 @@ import random
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Workload name -> why it was chosen and its manifest entries.
-WORKLOADS: Dict[str, dict] = {
-    "paper_cells": {
-        "why": ("the paper's 50 nodes on 1 km2 (SweepSettings.bench cells): "
-                "candidate sets (~40) below the channel's 48 crossovers, so "
-                "the scalar prefilter runs; speed varies routing/MTS/mobility"),
-        "entries": [{"name": "paper", "profile": "bench",
+#: Workload name -> its manifest entries (why each workload was chosen is
+#: recorded in BENCHMARK.json).
+WORKLOADS: Dict[str, List[dict]] = {
+    "paper_cells": [{"name": "paper", "profile": "bench",
                      "overrides": {"sim_time": 6.0}}],
-    },
-    "dense_cells": {
-        "why": ("100 nodes on 1 km2 (SweepSettings.dense cells, one speed): "
-                "candidate sets (~67) above the crossovers, so the numpy "
-                "path and large fan-out groups run"),
-        "entries": [{"name": "dense", "profile": "dense", "speeds": [10.0],
+    "dense_cells": [{"name": "dense", "profile": "dense", "speeds": [10.0],
                      "replications": 2, "overrides": {"sim_time": 3.0}}],
-    },
-    "campaign_e2e": {
-        "why": ("many tiny cells past traffic_start, so exec, campaign, "
-                "experiments and cli.serve dominate and one cache/store is "
-                "used cold, warm and served"),
-        "entries": [{"name": f"tiny{index}", "profile": "smoke",
-                     "protocols": ["DSR", "AODV", "MTS"],
-                     "speeds": [2.0, 5.0, 10.0, 15.0], "replications": 2,
-                     "base_seed": 7000 + 101 * index,
-                     "overrides": {"n_nodes": 10,
-                                   "field_size": [500.0, 500.0],
-                                   "sim_time": 2.0}}
-                    for index in range(3)],
-    },
+    "campaign_e2e": [{"name": f"tiny{index}", "profile": "smoke",
+                      "protocols": ["DSR", "AODV", "MTS"],
+                      "speeds": [2.0, 5.0, 10.0, 15.0], "replications": 2,
+                      "base_seed": 7000 + 101 * index,
+                      "overrides": {"n_nodes": 10,
+                                    "field_size": [500.0, 500.0],
+                                    "sim_time": 2.0}}
+                     for index in range(3)],
 }
 
 
@@ -63,7 +49,7 @@ def generate(workload: str, seed: int) -> dict:
 
     rng = random.Random(f"{workload}:{seed}")
     entries = [dict(entry, overrides=dict(entry["overrides"]))
-               for entry in WORKLOADS[workload]["entries"]]
+               for entry in WORKLOADS[workload]]
     spec = CampaignSpec.from_dict({"campaign": f"perfbench-{workload}",
                                    "entries": entries})
     for entry, (_, settings) in zip(entries, spec.expand()):
@@ -96,11 +82,14 @@ class Route:
     body: Optional[bytes]
 
 
-#: Share of each route kind in the closed-loop mix.
-ROUTE_WEIGHTS = (
-    ("index", 10), ("sweep", 10), ("figures", 15), ("figure", 30),
-    ("table1", 10), ("artifact", 20), ("not_found", 5),
-)
+#: Route kinds of the mix: every route the published index exposes, then
+#: requests that must return 404.
+ROUTE_KINDS = ("index", "sweep", "figures", "figure", "table1", "artifact",
+               "not_found")
+#: Share of requests drawn from the expected-404 routes.  The rest are
+#: drawn uniformly over every route the index exposes, so the mix follows
+#: the published campaign rather than guessed per-kind weights.
+NOT_FOUND_SHARE = 0.05
 
 
 def build_routes(campaign: str, index: dict, index_bytes: bytes,
@@ -113,7 +102,7 @@ def build_routes(campaign: str, index: dict, index_bytes: bytes,
     ``repro-sweep render``).
     """
     base = f"/campaigns/{campaign}"
-    routes: Dict[str, List[Route]] = {kind: [] for kind, _ in ROUTE_WEIGHTS}
+    routes: Dict[str, List[Route]] = {kind: [] for kind in ROUTE_KINDS}
     routes["index"].append(Route("index", base, 200, index_bytes))
     digests = []
     for name, record in sorted(index["entries"].items()):
@@ -151,13 +140,20 @@ def build_routes(campaign: str, index: dict, index_bytes: bytes,
 
 
 def route_sequence(routes: Dict[str, List[Route]], seed: int):
-    """Endless seeded draw from the route mix (same seed, same sequence)."""
+    """Endless seeded draw from the route mix (same seed, same sequence).
+
+    A request is an expected 404 with probability ``NOT_FOUND_SHARE``;
+    otherwise it is drawn uniformly over every other route.
+    """
     rng = random.Random(seed)
-    kinds = [kind for kind, _ in ROUTE_WEIGHTS if routes.get(kind)]
-    weights = [weight for kind, weight in ROUTE_WEIGHTS if routes.get(kind)]
+    missing = routes.get("not_found", [])
+    served = [route for kind in ROUTE_KINDS if kind != "not_found"
+              for route in routes.get(kind, [])]
     while True:
-        kind = rng.choices(kinds, weights)[0]
-        yield rng.choice(routes[kind])
+        if missing and (not served or rng.random() < NOT_FOUND_SHARE):
+            yield rng.choice(missing)
+        else:
+            yield rng.choice(served)
 
 
 def store_blob_reader(store_root: Path) -> Callable[[str], bytes]:
