@@ -26,27 +26,30 @@ Quickstart
 True
 """
 
-from repro.version import __version__
+from typing import Any, List
 
-from repro.scenario.config import ScenarioConfig
-from repro.scenario.runner import run_scenario, run_replications
-from repro.scenario.builder import ScenarioBuilder, Scenario
-from repro.exec import (
-    Executor,
-    ParallelExecutor,
-    ResultCache,
-    SerialExecutor,
-)
+from repro import _lazy
 
-__all__ = [
-    "__version__",
-    "ScenarioConfig",
-    "ScenarioBuilder",
-    "Scenario",
-    "run_scenario",
-    "run_replications",
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "ResultCache",
-]
+#: Public name -> defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "__version__": "repro.version",
+    "ScenarioConfig": "repro.scenario.config",
+    "ScenarioBuilder": "repro.scenario.builder",
+    "Scenario": "repro.scenario.builder",
+    "run_scenario": "repro.scenario.runner",
+    "run_replications": "repro.scenario.runner",
+    "Executor": "repro.exec.executor",
+    "SerialExecutor": "repro.exec.executor",
+    "ParallelExecutor": "repro.exec.executor",
+    "ResultCache": "repro.exec.cache",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.load(globals(), _EXPORTS, name)
+
+
+def __dir__() -> List[str]:
+    return _lazy.names(globals(), _EXPORTS)

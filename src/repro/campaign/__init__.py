@@ -19,27 +19,30 @@ Quick usage::
                           store=ArtifactStore("results/store"))
 """
 
-from repro.campaign.manifest import CampaignEntry, CampaignSpec
-from repro.campaign.runner import (
-    CampaignInterrupted,
-    CampaignReport,
-    EntryRun,
-    EntryStatus,
-    campaign_status,
-    publish_campaign,
-    run_campaign,
-)
-from repro.campaign.store import ArtifactStore
+from typing import Any, List
 
-__all__ = [
-    "ArtifactStore",
-    "CampaignEntry",
-    "CampaignInterrupted",
-    "CampaignReport",
-    "CampaignSpec",
-    "EntryRun",
-    "EntryStatus",
-    "campaign_status",
-    "publish_campaign",
-    "run_campaign",
-]
+from repro import _lazy
+
+#: Public name -> defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "CampaignEntry": "repro.campaign.manifest",
+    "CampaignSpec": "repro.campaign.manifest",
+    "CampaignInterrupted": "repro.campaign.runner",
+    "CampaignReport": "repro.campaign.runner",
+    "EntryRun": "repro.campaign.runner",
+    "EntryStatus": "repro.campaign.runner",
+    "campaign_status": "repro.campaign.runner",
+    "publish_campaign": "repro.campaign.runner",
+    "run_campaign": "repro.campaign.runner",
+    "ArtifactStore": "repro.campaign.store",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.load(globals(), _EXPORTS, name)
+
+
+def __dir__() -> List[str]:
+    return _lazy.names(globals(), _EXPORTS)

@@ -33,7 +33,8 @@ import re
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.exec import atomic_write_text, check_artifact_stamp, stamp_artifact
+from repro.exec.artifact import check_artifact_stamp, stamp_artifact
+from repro.exec.cache import atomic_write_text
 
 _DIGEST_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 

@@ -2,17 +2,17 @@
 
 Lets the CLIs run straight from a checkout (``PYTHONPATH=src``) without
 installing the console entry points declared in ``pyproject.toml``.
+Only the chosen tool is imported, so e.g. ``serve`` never loads the
+simulator.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
 
-from repro.cli import bench, cache, campaign, lint, serve, sweep
-
-TOOLS = {"bench": bench.main, "cache": cache.main,
-         "campaign": campaign.main, "lint": lint.main, "serve": serve.main,
-         "sweep": sweep.main}
+TOOLS = {tool: f"repro.cli.{tool}"
+         for tool in ("bench", "cache", "campaign", "lint", "serve", "sweep")}
 
 
 def main(argv=None) -> int:
@@ -21,7 +21,7 @@ def main(argv=None) -> int:
         known = "|".join(sorted(TOOLS))
         print(f"usage: python -m repro.cli {{{known}}} ...", file=sys.stderr)
         return 2
-    return TOOLS[argv[0]](argv[1:])
+    return importlib.import_module(TOOLS[argv[0]]).main(argv[1:])
 
 
 if __name__ == "__main__":

@@ -38,11 +38,9 @@ import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
-from repro.campaign import ArtifactStore
-from repro.exec import (
-    ARTIFACT_FORMAT_VERSION, StaleArtifactError, atomic_write_text,
-)
-from repro.experiments import FIGURES
+from repro.campaign.store import ArtifactStore
+from repro.exec.artifact import ARTIFACT_FORMAT_VERSION, StaleArtifactError
+from repro.exec.cache import atomic_write_text
 from repro.version import __version__
 
 _DIGEST_PATTERN = re.compile(r"^[0-9a-f]{64}$")
@@ -180,10 +178,11 @@ class ArtifactRequestHandler(BaseHTTPRequestHandler):
         if rest == ["figures"]:
             return self._text_blob(record["figures_all"])
         if rest[0] == "figures" and len(rest) == 2:
-            if rest[1] not in FIGURES:
+            figures = record["figures"]
+            if rest[1] not in figures:
                 raise _HTTPError(404, f"unknown figure {rest[1]!r}; "
-                                      f"known: {sorted(FIGURES)}")
-            return self._text_blob(record["figures"][rest[1]])
+                                      f"published: {sorted(figures)}")
+            return self._text_blob(figures[rest[1]])
         if rest == ["table1"]:
             digest = record.get("table1")
             if digest is None:

@@ -29,92 +29,58 @@ Quick usage::
     sweep = run_speed_sweep(SweepSettings.bench(), executor=executor)
 """
 
-from repro.exec.artifact import (
-    ARTIFACT_FORMAT_VERSION,
-    StaleArtifactError,
-    check_artifact_stamp,
-    stamp_artifact,
-)
-from repro.exec.cache import (
-    CACHE_FORMAT_VERSION,
-    PACK_FORMAT_VERSION,
-    atomic_write_text,
-    CacheProblem,
-    CacheStats,
-    MergeStats,
-    PruneReport,
-    ResultCache,
-    config_key,
-)
-from repro.exec.executor import (
-    ExecutionError,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    add_executor_options,
-    build_executor,
-    executor_from_args,
-    resolve_executor,
-    simulate,
-)
-from repro.exec.shard import (
-    ShardMerger,
-    ShardSpec,
-    SweepShard,
-    assemble_sweep_result,
-    merge_shard_results,
-    plan_shards,
-    run_sweep_shard,
-    shard_of_config,
-    shard_of_key,
-    sweep_from_cache,
-)
-from repro.exec.scheduler import (
-    ClusterExecutor,
-    FaultInjection,
-    SchedulerError,
-    ShardScheduler,
-    WorkerPool,
-    partition_cells,
-)
+from typing import Any, List
 
-__all__ = [
-    "ARTIFACT_FORMAT_VERSION",
-    "CACHE_FORMAT_VERSION",
-    "CacheProblem",
-    "CacheStats",
-    "ClusterExecutor",
-    "ExecutionError",
-    "Executor",
-    "FaultInjection",
-    "MergeStats",
-    "PACK_FORMAT_VERSION",
-    "ParallelExecutor",
-    "PruneReport",
-    "ResultCache",
-    "SchedulerError",
-    "SerialExecutor",
-    "StaleArtifactError",
-    "ShardMerger",
-    "ShardScheduler",
-    "ShardSpec",
-    "SweepShard",
-    "WorkerPool",
-    "add_executor_options",
-    "assemble_sweep_result",
-    "atomic_write_text",
-    "build_executor",
-    "check_artifact_stamp",
-    "config_key",
-    "executor_from_args",
-    "merge_shard_results",
-    "partition_cells",
-    "plan_shards",
-    "resolve_executor",
-    "run_sweep_shard",
-    "shard_of_config",
-    "shard_of_key",
-    "simulate",
-    "stamp_artifact",
-    "sweep_from_cache",
-]
+from repro import _lazy
+
+#: Public name -> defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "ARTIFACT_FORMAT_VERSION": "repro.exec.artifact",
+    "StaleArtifactError": "repro.exec.artifact",
+    "check_artifact_stamp": "repro.exec.artifact",
+    "stamp_artifact": "repro.exec.artifact",
+    "CACHE_FORMAT_VERSION": "repro.exec.cache",
+    "PACK_FORMAT_VERSION": "repro.exec.cache",
+    "atomic_write_text": "repro.exec.cache",
+    "CacheProblem": "repro.exec.cache",
+    "CacheStats": "repro.exec.cache",
+    "MergeStats": "repro.exec.cache",
+    "PruneReport": "repro.exec.cache",
+    "ResultCache": "repro.exec.cache",
+    "config_key": "repro.exec.cache",
+    "ExecutionError": "repro.exec.executor",
+    "Executor": "repro.exec.executor",
+    "ParallelExecutor": "repro.exec.executor",
+    "SerialExecutor": "repro.exec.executor",
+    "add_executor_options": "repro.exec.executor",
+    "build_executor": "repro.exec.executor",
+    "executor_from_args": "repro.exec.executor",
+    "resolve_executor": "repro.exec.executor",
+    "simulate": "repro.exec.executor",
+    "ShardMerger": "repro.exec.shard",
+    "ShardSpec": "repro.exec.shard",
+    "SweepShard": "repro.exec.shard",
+    "assemble_sweep_result": "repro.exec.shard",
+    "merge_shard_results": "repro.exec.shard",
+    "plan_shards": "repro.exec.shard",
+    "run_sweep_shard": "repro.exec.shard",
+    "shard_of_config": "repro.exec.shard",
+    "shard_of_key": "repro.exec.shard",
+    "sweep_from_cache": "repro.exec.shard",
+    "ClusterExecutor": "repro.exec.scheduler",
+    "FaultInjection": "repro.exec.scheduler",
+    "SchedulerError": "repro.exec.scheduler",
+    "ShardScheduler": "repro.exec.scheduler",
+    "WorkerPool": "repro.exec.scheduler",
+    "partition_cells": "repro.exec.scheduler",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.load(globals(), _EXPORTS, name)
+
+
+def __dir__() -> List[str]:
+    return _lazy.names(globals(), _EXPORTS)

@@ -10,18 +10,28 @@
   scenario or several replications with independent seeds.
 """
 
-from repro.scenario.config import ScenarioConfig
-from repro.scenario.builder import Scenario, ScenarioBuilder
-from repro.scenario.results import ScenarioResult, AggregateResult, aggregate_results
-from repro.scenario.runner import run_scenario, run_replications
+from typing import Any, List
 
-__all__ = [
-    "ScenarioConfig",
-    "Scenario",
-    "ScenarioBuilder",
-    "ScenarioResult",
-    "AggregateResult",
-    "aggregate_results",
-    "run_scenario",
-    "run_replications",
-]
+from repro import _lazy
+
+#: Public name -> defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "ScenarioConfig": "repro.scenario.config",
+    "Scenario": "repro.scenario.builder",
+    "ScenarioBuilder": "repro.scenario.builder",
+    "ScenarioResult": "repro.scenario.results",
+    "AggregateResult": "repro.scenario.results",
+    "aggregate_results": "repro.scenario.results",
+    "run_scenario": "repro.scenario.runner",
+    "run_replications": "repro.scenario.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.load(globals(), _EXPORTS, name)
+
+
+def __dir__() -> List[str]:
+    return _lazy.names(globals(), _EXPORTS)

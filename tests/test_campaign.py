@@ -366,6 +366,37 @@ class TestServe:
                 server.server_close()
 
 
+    def test_figure_missing_from_stale_index_is_404(self, campaign_env,
+                                                    tmp_path):
+        # An index published by another version may lack a figure this
+        # version knows; under --allow-stale that is a 404, not a 500.
+        stale_root = tmp_path / "store"
+        shutil.copytree(campaign_env.root / "store", stale_root)
+        index = stale_root / "campaigns" / "demo.json"
+        data = json.loads(index.read_text())
+        data["repro_version"] = "0.0.1"
+        figures = data["entries"]["smoke"]["figures"]
+        dropped = sorted(figures)[0]
+        del figures[dropped]
+        index.write_text(json.dumps(data))
+        server = serve_cli.build_server(str(stale_root), port=0,
+                                        allow_stale=True, quiet=True)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            conn.request("GET",
+                         f"/campaigns/demo/entries/smoke/figures/{dropped}")
+            response = conn.getresponse()
+            assert response.status == 404
+            assert sorted(figures)[0] in json.loads(response.read())["error"]
+            conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 class TestCampaignCli:
     def test_run_interrupt_resume_replay(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
