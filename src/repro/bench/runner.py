@@ -66,12 +66,11 @@ class BenchCaseResult:
     transmissions: int
     grid: Dict[str, float]
     #: Horizon-batch statistics of the run loop (how many distinct
-    #: timestamps fired events, and the mean/max events per timestamp).
+    #: timestamps fired events, and the mean events per timestamp).
     #: Defaulted so artifacts recorded before these counters existed
     #: still load.
     horizon_batches: int = 0
     mean_batch_size: float = 0.0
-    max_batch_size: int = 0
     #: Fire-group engagement statistics of ``schedule_fire_many``.
     #: ``mean_batch_size`` stays ~1.0 by construction (distance-dependent
     #: delays give unique delivery timestamps); these count the grouped
@@ -214,7 +213,6 @@ def run_case(case: BenchCase) -> BenchCaseResult:
         grid=scenario.channel.grid_stats(),
         horizon_batches=sim.horizon_batches,
         mean_batch_size=sim.mean_batch_size,
-        max_batch_size=sim.max_batch_size,
         fire_groups=sim.fire_groups,
         fire_group_members=sim.fire_group_members,
         fire_group_requeued=sim.fire_group_requeued,

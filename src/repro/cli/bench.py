@@ -88,8 +88,7 @@ def _print_case(result: BenchCaseResult) -> None:
           f"{grid['max_occupancy']:.0f} "
           f"cand(mean/max)={grid['mean_candidate_set']:.1f}/"
           f"{grid['max_candidate_set']:.0f} "
-          f"batch(mean/max)={result.mean_batch_size:.2f}/"
-          f"{result.max_batch_size}", flush=True)
+          f"batch(mean)={result.mean_batch_size:.2f}", flush=True)
 
 
 def cmd_list() -> int:

@@ -1,12 +1,12 @@
 """Mobility model interface and the trivial static model.
 
-Segment-providing models (``provides_segments``) additionally expose their
-motion as :class:`Waypoint` segments through :meth:`MobilityModel.segment_at`
-and push segment changes into the channel's structure-of-arrays kinematics
-via the :meth:`MobilityModel.bind_kinematics` hook.  That lets the channel
-hold *exact* closed-form positions (origin + velocity + segment span) that
-never go stale, instead of re-snapshotting positions under a speed-bounded
-staleness horizon.
+Every model describes its motion as :class:`Waypoint` segments: besides
+:meth:`MobilityModel.position` it implements the abstract
+:meth:`MobilityModel.segment_at`, and it pushes segment changes into the
+channel's structure-of-arrays kinematics through the
+:meth:`MobilityModel.bind_kinematics` hook.  The channel therefore holds
+*exact* closed-form positions (origin + velocity + segment span) for
+every node; a model without ``segment_at`` cannot be instantiated.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ class Waypoint:
 class MobilityModel(ABC):
     """Position of one node as a function of simulation time."""
 
-    #: True when the model can describe its motion as :class:`Waypoint`
-    #: segments (:meth:`segment_at` implemented, segment changes pushed
-    #: through :meth:`bind_kinematics`).  The channel only enters exact
-    #: SoA-kinematics mode when *every* registered node's model provides
-    #: segments; third-party models keep the stale-snapshot fallback.
-    provides_segments: bool = False
-
     #: Channel push hook + slot, set by :meth:`bind_kinematics`.
     _kin_push: Optional[Callable[[int, "Waypoint"], None]] = None
     _kin_index: int = -1
@@ -67,15 +60,14 @@ class MobilityModel(ABC):
         """Instantaneous speed (m/s) at ``time``; 0 unless overridden."""
         return 0.0
 
+    @abstractmethod
     def segment_at(self, time: float) -> Waypoint:
         """The :class:`Waypoint` segment covering ``time``.
 
-        Only meaningful when :attr:`provides_segments` is true; the base
-        implementation refuses so the channel can never silently treat a
-        stale-snapshot model as exact.
+        Segments must tile time: the returned segment satisfies
+        ``start_time <= time < end_time``, and its interpolation equals
+        :meth:`position` at every time it covers.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not provide trajectory segments")
 
     def bind_kinematics(self, push: Callable[[int, "Waypoint"], None],
                         index: int) -> None:
@@ -94,8 +86,6 @@ class MobilityModel(ABC):
 
 class StaticMobility(MobilityModel):
     """A node that never moves."""
-
-    provides_segments = True
 
     def __init__(self, x: float, y: float):
         self._pos = (float(x), float(y))

@@ -36,8 +36,6 @@ class RandomWalk(MobilityModel):
 
     _EXTEND_CHUNK = 200.0
 
-    provides_segments = True
-
     def __init__(self, rng: np.random.Generator,
                  field_size: Tuple[float, float] = (1000.0, 1000.0),
                  max_speed: float = 10.0, min_speed: float = 0.1,

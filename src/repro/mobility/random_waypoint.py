@@ -48,8 +48,6 @@ class RandomWaypoint(MobilityModel):
     #: How much trajectory (seconds) to generate per extension step.
     _EXTEND_CHUNK = 200.0
 
-    provides_segments = True
-
     def __init__(
         self,
         rng: np.random.Generator,

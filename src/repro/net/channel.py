@@ -22,27 +22,27 @@ result — is bit-for-bit identical to the historical full scan.
    construction.  On fields the grid cannot partition (the 3×3 block
    would cover the whole field anyway) the index collapses to a single
    covering cell that never goes stale instead of pretending to filter.
-2. *Distance prefilter.*  When every registered node's mobility model
-   provides trajectory segments (``provides_segments``), the channel
-   holds exact *SoA kinematics*: per-interface segment entries (span,
-   endpoints, velocity) pushed by the mobility layer at segment changes
-   and refreshed on expiry, so closed-form positions at the current time
-   are always exact and the prefilter radius is the detection range plus
-   only a float-rounding margin.  Otherwise (any third-party model) the
-   channel falls back to position *snapshots* taken under a speed-bounded
-   slack horizon, and the prefilter radius widens to ``detection range +
-   position slack``.  Either way the squared-distance pass over the
-   candidate block is conservative: nothing the exact per-candidate
-   evaluation would accept can be dropped.
+2. *Distance prefilter.*  Every mobility model describes its motion as
+   trajectory segments (:meth:`~repro.mobility.base.MobilityModel.segment_at`
+   is part of the model contract), so the channel holds exact *SoA
+   kinematics*: per-interface segment entries (span, endpoints,
+   velocity) pushed by the mobility layer at segment changes and
+   refreshed on expiry.  Closed-form positions at the current time are
+   therefore always exact, and the prefilter radius is the detection
+   range plus only a float-rounding margin, so the squared-distance pass
+   over the candidate block is conservative: nothing the exact
+   per-candidate evaluation would accept can be dropped.  Blocks below
+   ``_KIN_PREFILTER_VECTOR_MIN`` candidates run the prefilter as a fused
+   Python loop, larger ones as one numpy pass.
 
 Exact positions and distances for the surviving candidates are still
 evaluated with scalar ``math`` at the current time (numpy's ``hypot``
 differs from CPython's by ulps, so the exact stage must not be
 vectorized), candidates are visited in registration order, and the
 per-candidate RNG draw order of probabilistic propagation models is
-preserved.  In kinematics mode the exact per-candidate interpolation
-reproduces ``Waypoint.position``'s float-op order term for term, so the
-distances are bit-identical to querying the mobility model directly.
+preserved.  The exact per-candidate interpolation reproduces
+``Waypoint.position``'s float-op order term for term, so the distances
+are bit-identical to querying the mobility model directly.
 Reception decisions and propagation delays for the survivors go through
 the model's ``in_range_many`` / ``delay_many`` batch entry points when
 the model provides them (see
@@ -115,12 +115,6 @@ class WirelessChannel:
     #: sets for rarer rebuilds.
     _GRID_SLACK_FRACTION = 0.5
 
-    #: Staleness budget of the prefilter position snapshot, as a fraction
-    #: of the detection range.  Smaller values tighten the prefilter
-    #: radius (detection range + this slack) at the cost of more frequent
-    #: O(N) snapshot refreshes.
-    _POS_SLACK_FRACTION = 0.1
-
     #: Absolute safety margin (metres) added to the prefilter radius so
     #: float rounding in the squared-distance comparison can never drop a
     #: candidate the exact scalar evaluation would accept.
@@ -130,19 +124,12 @@ class WirelessChannel:
     #: the numpy round-trip; both produce identical results.
     _VECTOR_MIN_RECEIVERS = 4
 
-    #: Below this many candidates the prefilter runs as a Python loop over
-    #: cached position lists instead of numpy array math — the numpy
-    #: round-trip only wins on larger blocks (measured crossover ~45).
-    #: Both paths perform the same IEEE ops, so they keep the same set.
-    _PREFILTER_VECTOR_MIN = 48
-
-    #: Crossover for kinematics mode.  The kin scalar loop reads cached
-    #: segment lists with no method calls, so despite the per-candidate
-    #: interpolation it stays competitive with the numpy round-trip up to
-    #: roughly the same block size as the snapshot loop.  The two paths
-    #: may disagree about prefilter survivors by at most margin-boundary
-    #: ulps; the exact stage re-evaluates survivors identically either
-    #: way.
+    #: Below this many candidates the prefilter runs as a fused Python
+    #: loop over the cached segment lists instead of numpy array math —
+    #: the numpy round-trip only wins on larger blocks (measured crossover
+    #: ~45).  The two paths may disagree about prefilter survivors by at
+    #: most margin-boundary ulps; the exact stage re-evaluates survivors
+    #: identically either way.
     _KIN_PREFILTER_VECTOR_MIN = 48
 
     def __init__(self, sim: "Simulator",
@@ -165,8 +152,7 @@ class WirelessChannel:
         self.transmissions: int = 0
         #: Count of spatial-index rebuilds (instrumentation).
         self.grid_rebuilds: int = 0
-        #: Count of prefilter position-state (re)builds: snapshot
-        #: refreshes in fallback mode, full SoA builds in kinematics mode.
+        #: Count of full SoA kinematics builds.
         self.pos_refreshes: int = 0
         #: Count of SoA kinematics entry writes (mobility pushes, expiry
         #: refreshes, and full-build loads).
@@ -191,22 +177,12 @@ class WirelessChannel:
         #: ndarray the large-block numpy prefilter.
         self._block_cache: Dict[Tuple[int, int],
                                 Tuple[List[int], np.ndarray]] = {}
-        # Prefilter position snapshot (see _ensure_positions); kept both
-        # as numpy arrays (large blocks) and plain lists (small blocks).
-        self._pos_x: Optional[np.ndarray] = None
-        self._pos_y: Optional[np.ndarray] = None
-        self._pos_xl: List[float] = []
-        self._pos_yl: List[float] = []
-        self._pos_time: Optional[float] = None
-        self._pos_horizon: float = 0.0
-        self._pos_slack: float = 0.0
-        # SoA kinematics state (see _ensure_kinematics).  The scalar lists
+        # SoA kinematics state (see _build_kinematics).  The scalar lists
         # carry the raw segment endpoints for the bit-exact fused
         # interpolation loop; the numpy arrays carry the velocity form for
         # the vectorized prefilter (ulp-level differences are absorbed by
-        # the prefilter margin).  _kin_mode: None = undecided, False =
-        # fallback snapshots, True = kinematics active.
-        self._kin_mode: Optional[bool] = None
+        # the prefilter margin).  _kin_ready is False until the first
+        # transmission and after every registration.
         self._kin_ready: bool = False
         self._kin_st: List[float] = []
         self._kin_et: List[float] = []
@@ -236,19 +212,16 @@ class WirelessChannel:
         self._interface_index[interface] = len(self._interfaces)
         self._interfaces.append(interface)
         self._grid_time = None  # invalidate the spatial index
-        self._pos_time = None   # ... and the prefilter snapshot
         self.reset_kinematics()  # ... and the SoA kinematics
 
     def reset_kinematics(self) -> None:
         """Invalidate the SoA kinematics state.
 
-        The next transmission re-decides the mode (kinematics vs fallback
-        snapshots) over the current interface population and, if
-        kinematics apply, rebuilds the arrays and re-binds every mobility
-        model's push hook.  Pushes arriving while the state is torn down
-        are ignored (the rebuild reloads every entry anyway).
+        The next transmission rebuilds the arrays over the current
+        interface population and re-binds every mobility model's push
+        hook.  Pushes arriving while the state is torn down are ignored
+        (the rebuild reloads every entry anyway).
         """
-        self._kin_mode = None
         self._kin_ready = False
 
     @property
@@ -322,57 +295,18 @@ class WirelessChannel:
             self._grid_horizon = math.inf
         self.grid_rebuilds += 1
 
-    def _ensure_positions(self, now: float) -> None:
-        """(Re)snapshot per-interface positions for the numpy prefilter.
-
-        The snapshot has its own, tighter slack budget than the grid: an
-        interface within detection range now is within ``detection range +
-        _pos_slack`` of its snapshotted position, so the prefilter radius
-        stays close to the detection range while refreshes remain O(N)
-        and amortised.
-        """
-        if self._pos_time is not None and now <= self._pos_horizon:
-            return
-        n = len(self._interfaces)
-        xs = np.empty(n)
-        ys = np.empty(n)
-        for index, interface in enumerate(self._interfaces):
-            x, y = interface.node.position(now)
-            xs[index] = x
-            ys[index] = y
-        self._pos_x = xs
-        self._pos_y = ys
-        self._pos_xl = xs.tolist()
-        self._pos_yl = ys.tolist()
-        self._pos_time = now
-        slack = max(self._reach() * self._POS_SLACK_FRACTION, 1e-9)
-        self._pos_slack = slack
-        if self.max_node_speed > 0:
-            self._pos_horizon = now + slack / self.max_node_speed
-        else:
-            self._pos_horizon = math.inf
-        self.pos_refreshes += 1
-
     # ------------------------------------------------------------------ #
     # SoA kinematics (exact positions pushed from the mobility layer)
     # ------------------------------------------------------------------ #
-    def _ensure_kinematics(self, now: float) -> bool:
-        """Decide the position-state mode and build the SoA arrays.
+    def _build_kinematics(self, now: float) -> None:
+        """Build the SoA arrays over the current interface population.
 
-        Returns True when every registered node's mobility model provides
-        trajectory segments; the channel then keeps one kinematics entry
-        per interface — segment span and endpoints (scalar lists, for the
-        bit-exact fused interpolation) plus origin/velocity arrays (for
-        the vectorized prefilter) — and never needs stale snapshots
-        again.  Any segment-less model keeps the fallback snapshot path
-        for everyone, so third-party mobility models lose no correctness,
-        only the tighter prefilter radius.
+        One kinematics entry per interface — segment span and endpoints
+        (scalar lists, for the bit-exact fused interpolation) plus
+        origin/velocity arrays (for the vectorized prefilter) — loaded
+        from each mobility model's :meth:`segment_at`, with the model's
+        push hook bound to the entry's slot.
         """
-        for interface in self._interfaces:
-            mobility = interface.node.mobility
-            if mobility is not None and not mobility.provides_segments:
-                self._kin_mode = False
-                return False
         n = len(self._interfaces)
         self._kin_st = [0.0] * n
         self._kin_et = [0.0] * n
@@ -387,7 +321,6 @@ class WirelessChannel:
         self._kin_vy = np.zeros(n)
         self._kin_et_arr = np.full(n, math.inf)
         self._kin_min_end = math.inf
-        self._kin_mode = True
         self._kin_ready = True
         push = self.push_segment
         for index, interface in enumerate(self._interfaces):
@@ -398,7 +331,6 @@ class WirelessChannel:
                 mobility.bind_kinematics(push, index)
                 self._write_kin_entry(index, mobility.segment_at(now))
         self.pos_refreshes += 1
-        return True
 
     def push_segment(self, index: int, segment: Waypoint) -> None:
         """Mobility push hook: (re)load one interface's kinematics entry.
@@ -547,13 +479,13 @@ class WirelessChannel:
                                  if self.transmissions else 0.0),
             "max_refined_set": self.refined_max,
             # Fraction of grid-block candidates surviving the distance
-            # prefilter; lower is better (exact SoA kinematics shrink it
-            # versus the padded stale-snapshot radius).
+            # prefilter; lower is better.
             "prefilter_hit_rate": (self.refined_total / self.candidate_total
                                    if self.candidate_total else 0.0),
-            # Kinematics entry writes (pushes + expiry refreshes + builds);
-            # 0.0 in fallback-snapshot mode.
+            # Kinematics entry writes (pushes + expiry refreshes + builds).
             "snapshot_invalidations": float(self.snapshot_invalidations),
+            # 1.0 while the SoA kinematics state is built (0.0 before the
+            # first transmission and after a registration).
             "kinematics_mode": float(bool(self._kin_ready)),
         }
 
@@ -574,41 +506,39 @@ class WirelessChannel:
         packet instead of paying for a copy.
 
         See the module docstring for the two-stage candidate narrowing
-        (grid block, then vectorized stale-distance prefilter) and why
+        (grid block, then exact-kinematics distance prefilter) and why
         both stages preserve bit-for-bit results.
         """
         now = self.sim.now
         self.transmissions += 1
         # Inlined staleness checks (one compare each in the common case);
-        # the _ensure_* methods would re-check the same condition.
+        # the _ensure_grid method would re-check the same condition.
         if self._grid_time is None or now > self._grid_horizon:
             self._ensure_grid(now)
-        kin = self._kin_ready
-        if kin:
-            if now >= self._kin_min_end:
-                self._refresh_expired(now)
-        elif self._kin_mode is None:
-            kin = self._ensure_kinematics(now)
-        if not kin and (self._pos_time is None or now > self._pos_horizon):
-            self._ensure_positions(now)
+        if not self._kin_ready:
+            self._build_kinematics(now)
+        elif now >= self._kin_min_end:
+            self._refresh_expired(now)
         sender_index = self._interface_index[sender]
-        if kin:
-            # Sender position straight from its kinematics entry — same
-            # frac-form interpolation Waypoint.position performs, on the
-            # same segment (entries always cover now), so the result is
-            # bit-identical to node.position(now) without the method
-            # chain.
-            st = self._kin_st[sender_index]
-            sx = self._kin_sx[sender_index]
-            sy = self._kin_sy[sender_index]
-            if now > st:
-                et = self._kin_et[sender_index]
-                if et > st:
-                    frac = (now - st) / (et - st)
-                    sx = sx + frac * (self._kin_ex[sender_index] - sx)
-                    sy = sy + frac * (self._kin_ey[sender_index] - sy)
-        else:
-            sx, sy = sender.node.position(now)
+        kin_st = self._kin_st
+        kin_et = self._kin_et
+        kin_sx = self._kin_sx
+        kin_sy = self._kin_sy
+        kin_ex = self._kin_ex
+        kin_ey = self._kin_ey
+        # Sender position straight from its kinematics entry — same
+        # frac-form interpolation Waypoint.position performs, on the same
+        # segment (entries always cover now), so the result is
+        # bit-identical to node.position(now) without the method chain.
+        sx = kin_sx[sender_index]
+        sy = kin_sy[sender_index]
+        st = kin_st[sender_index]
+        if now > st:
+            et = kin_et[sender_index]
+            if et > st:
+                frac = (now - st) / (et - st)
+                sx = sx + frac * (kin_ex[sender_index] - sx)
+                sy = sy + frac * (kin_ey[sender_index] - sy)
         propagation = self.propagation
         detect_limit = propagation.detection_range()
 
@@ -620,20 +550,14 @@ class WirelessChannel:
 
         # Stages 2+3: conservative squared-distance prefilter, then exact
         # evaluation of the survivors at the current positions (scalar
-        # math, ascending registration order).  In kinematics mode the
-        # positions are exact closed forms, so the prefilter radius is the
-        # detection range plus only the rounding margin (which also
-        # absorbs the ulp-level divergence of the vectorized velocity-form
-        # interpolation); in fallback mode an interface within
-        # detect_limit now is within (detect_limit + _pos_slack) of its
-        # snapshot position.  Either way nothing the exact evaluation
-        # would accept can be dropped.  Small blocks run prefilter + exact
-        # gather as one fused Python loop, large ones do the prefilter in
-        # one numpy pass.
-        if kin:
-            limit = detect_limit + self._PREFILTER_MARGIN_M
-        else:
-            limit = detect_limit + self._pos_slack + self._PREFILTER_MARGIN_M
+        # math, ascending registration order).  The positions are exact
+        # closed forms, so the prefilter radius is the detection range
+        # plus only the rounding margin (which also absorbs the ulp-level
+        # divergence of the vectorized velocity-form interpolation):
+        # nothing the exact evaluation would accept can be dropped.  Small
+        # blocks run prefilter + exact gather as one fused Python loop,
+        # large ones do the prefilter in one numpy pass.
+        limit = detect_limit + self._PREFILTER_MARGIN_M
         limit2 = limit * limit
         interfaces = self._interfaces
         hypot = math.hypot
@@ -641,131 +565,73 @@ class WirelessChannel:
         distances: List[float] = []
         add_receiver = receivers.append
         add_distance = distances.append
-        n_refined = 0
-        if n_candidates < (self._KIN_PREFILTER_VECTOR_MIN if kin
-                           else self._PREFILTER_VECTOR_MIN):
-            if kin:
-                # Fused prefilter + exact stage on the segment entries.
-                # The interpolation reproduces Waypoint.position's float-op
-                # order exactly (clamp at the segment start, frac form);
-                # entries always cover now (see _refresh_expired), so the
-                # end-clamp is unreachable.  dx/dy feed both the squared
-                # prefilter and math.hypot, eliminating every per-receiver
-                # node.position() call.
-                kin_st = self._kin_st
-                kin_et = self._kin_et
-                kin_sx = self._kin_sx
-                kin_sy = self._kin_sy
-                kin_ex = self._kin_ex
-                kin_ey = self._kin_ey
-                for index in cand_list:
-                    x = kin_sx[index]
-                    y = kin_sy[index]
-                    st = kin_st[index]
-                    if now > st:
-                        et = kin_et[index]
-                        if et > st:
-                            frac = (now - st) / (et - st)
-                            x = x + frac * (kin_ex[index] - x)
-                            y = y + frac * (kin_ey[index] - y)
-                    dx = x - sx
-                    dy = y - sy
-                    if dx * dx + dy * dy > limit2:
-                        continue
-                    n_refined += 1
-                    if index == sender_index:
-                        continue
-                    d = hypot(dx, dy)
-                    if d > detect_limit:
-                        continue
-                    add_receiver(interfaces[index])
-                    add_distance(d)
-            else:
-                pos_xl = self._pos_xl
-                pos_yl = self._pos_yl
-                for index in cand_list:
-                    dx = pos_xl[index] - sx
-                    dy = pos_yl[index] - sy
-                    if dx * dx + dy * dy > limit2:
-                        continue
-                    n_refined += 1
-                    if index == sender_index:
-                        continue
-                    receiver = interfaces[index]
-                    rx, ry = receiver.node.position(now)
-                    d = hypot(rx - sx, ry - sy)
-                    if d > detect_limit:
-                        continue
-                    add_receiver(receiver)
-                    add_distance(d)
+        if n_candidates < self._KIN_PREFILTER_VECTOR_MIN:
+            # The interpolation reproduces Waypoint.position's float-op
+            # order exactly (clamp at the segment start, frac form);
+            # entries always cover now (see _refresh_expired), so the
+            # end-clamp is unreachable.  dx/dy feed both the squared
+            # prefilter and math.hypot, eliminating every per-receiver
+            # node.position() call.
+            n_refined = 0
+            for index in cand_list:
+                x = kin_sx[index]
+                y = kin_sy[index]
+                st = kin_st[index]
+                if now > st:
+                    et = kin_et[index]
+                    if et > st:
+                        frac = (now - st) / (et - st)
+                        x = x + frac * (kin_ex[index] - x)
+                        y = y + frac * (kin_ey[index] - y)
+                dx = x - sx
+                dy = y - sy
+                if dx * dx + dy * dy > limit2:
+                    continue
+                n_refined += 1
+                if index == sender_index:
+                    continue
+                d = hypot(dx, dy)
+                if d > detect_limit:
+                    continue
+                add_receiver(interfaces[index])
+                add_distance(d)
         else:
-            if kin:
-                # Vectorized prefilter on the velocity form (origin +
-                # velocity * elapsed).  It differs from the frac form by
-                # ulps at most — absorbed by the prefilter margin — and
-                # the survivors are re-evaluated exactly below.  The
-                # interpolation runs over the whole population (cheap
-                # elementwise ops) so the candidate gather is one fancy
-                # index instead of five.
-                dt = now - self._kin_t0
-                px = self._kin_ox + self._kin_vx * dt
-                py = self._kin_oy + self._kin_vy * dt
-                if self._single_cell:
-                    dx = px - sx
-                    dy = py - sy
-                    survivors = np.flatnonzero(dx * dx + dy * dy
-                                               <= limit2).tolist()
-                else:
-                    dx = px[cand_arr] - sx
-                    dy = py[cand_arr] - sy
-                    survivors = cand_arr[dx * dx + dy * dy
-                                         <= limit2].tolist()
-                n_refined = len(survivors)
-                kin_st = self._kin_st
-                kin_et = self._kin_et
-                kin_sx = self._kin_sx
-                kin_sy = self._kin_sy
-                kin_ex = self._kin_ex
-                kin_ey = self._kin_ey
-                for index in survivors:
-                    if index == sender_index:
-                        continue
-                    x = kin_sx[index]
-                    y = kin_sy[index]
-                    st = kin_st[index]
-                    if now > st:
-                        et = kin_et[index]
-                        if et > st:
-                            frac = (now - st) / (et - st)
-                            x = x + frac * (kin_ex[index] - x)
-                            y = y + frac * (kin_ey[index] - y)
-                    d = hypot(x - sx, y - sy)
-                    if d > detect_limit:
-                        continue
-                    add_receiver(interfaces[index])
-                    add_distance(d)
+            # Vectorized prefilter on the velocity form (origin + velocity
+            # * elapsed).  It differs from the frac form by ulps at most —
+            # absorbed by the prefilter margin — and the survivors are
+            # re-evaluated exactly below.  The interpolation runs over the
+            # whole population (cheap elementwise ops) so the candidate
+            # gather is one fancy index instead of five.
+            dt = now - self._kin_t0
+            px = self._kin_ox + self._kin_vx * dt
+            py = self._kin_oy + self._kin_vy * dt
+            if self._single_cell:
+                dx = px - sx
+                dy = py - sy
+                survivors = np.flatnonzero(dx * dx + dy * dy
+                                           <= limit2).tolist()
             else:
-                if self._single_cell:
-                    dx = self._pos_x - sx
-                    dy = self._pos_y - sy
-                    survivors = np.flatnonzero(dx * dx + dy * dy
-                                               <= limit2).tolist()
-                else:
-                    dx = self._pos_x[cand_arr] - sx
-                    dy = self._pos_y[cand_arr] - sy
-                    survivors = cand_arr[dx * dx + dy * dy
-                                         <= limit2].tolist()
-                n_refined = len(survivors)
-                for index in survivors:
-                    if index == sender_index:
-                        continue
-                    receiver = interfaces[index]
-                    rx, ry = receiver.node.position(now)
-                    d = hypot(rx - sx, ry - sy)
-                    if d > detect_limit:
-                        continue
-                    add_receiver(receiver)
-                    add_distance(d)
+                dx = px[cand_arr] - sx
+                dy = py[cand_arr] - sy
+                survivors = cand_arr[dx * dx + dy * dy <= limit2].tolist()
+            n_refined = len(survivors)
+            for index in survivors:
+                if index == sender_index:
+                    continue
+                x = kin_sx[index]
+                y = kin_sy[index]
+                st = kin_st[index]
+                if now > st:
+                    et = kin_et[index]
+                    if et > st:
+                        frac = (now - st) / (et - st)
+                        x = x + frac * (kin_ex[index] - x)
+                        y = y + frac * (kin_ey[index] - y)
+                d = hypot(x - sx, y - sy)
+                if d > detect_limit:
+                    continue
+                add_receiver(interfaces[index])
+                add_distance(d)
         self.refined_total += n_refined
         if n_refined > self.refined_max:
             self.refined_max = n_refined

@@ -13,15 +13,12 @@ Design notes
   scenario seed.  The ordering key is carried by the heap entry tuple —
   compared entirely in C, with the unique sequence number guaranteeing the
   comparison never falls through to the trailing entry fields.
-* The run loop delivers events in *horizon batches*: it peeks the minimum
-  timestamp, then drains every entry sharing that timestamp in one inner
-  pass, re-checking ``heap[0]`` between callbacks so an event scheduled
-  *into* the open horizon (same time, earlier priority) still fires in
-  exact ``(time, priority, sequence)`` order.  The per-event ``until``
-  comparison, clock bookkeeping and loop-control checks are paid once per
-  horizon instead of once per event, and an ``until`` bound never pops an
-  entry it would have to push back.  ``horizon_batches`` /
-  ``max_batch_size`` instrument the batch-size distribution.
+* The run loop handles one heap entry per iteration: it peeks
+  ``heap[0]``, stops there if the entry lies past the ``until`` bound
+  (so a bounded run never pops an entry it would have to push back),
+  then pops and dispatches it.  ``horizon_batches`` counts the distinct
+  timestamps that fired, with one float compare against the last fired
+  time per event; ``mean_batch_size`` is events per such timestamp.
 * Three kinds of heap entry coexist.  :meth:`schedule` / :meth:`schedule_at`
   build ``(time, priority, sequence, Event)`` and return a cancellable
   :class:`EventHandle`.  :meth:`schedule_fire` — the fast path used by the
@@ -38,11 +35,11 @@ Design notes
   is provably next in the global order (cheap comparison against
   ``heap[0]``) and falling back to re-pushing the remainder as ordinary
   5-tuples the moment anything else — another heap entry, an ``until``
-  bound, ``max_events``, or :meth:`stop` — must come first.  Because every
-  member carries the sequence number reserved at schedule time, the
-  delivery order is bit-for-bit identical to the per-receiver loop while
-  the common case costs one heap push + pop per *transmission* instead of
-  one per receiver.  All entry kinds share the same sequence counter.
+  bound, or :meth:`stop` — must come first.  Because every member carries
+  the sequence number reserved at schedule time, the delivery order is
+  bit-for-bit identical to the per-receiver loop while the common case
+  costs one heap push + pop per *transmission* instead of one per
+  receiver.  All entry kinds share the same sequence counter.
 * Cancellation is lazy: cancelled events stay in the heap and are skipped
   when popped.  This keeps :meth:`Simulator.cancel` O(1), which matters
   because MAC ACK timeouts and TCP retransmission timers are cancelled far
@@ -104,9 +101,6 @@ class Simulator:
     ['b', 'a']
     """
 
-    #: priority used for the internal stop event so same-time work finishes.
-    _STOP_PRIORITY = 1 << 30
-
     #: Compaction is considered only once at least this many cancelled
     #: events sit in the heap (tiny heaps are cheap to pop through).
     _COMPACT_MIN_GARBAGE = 256
@@ -131,10 +125,9 @@ class Simulator:
         self.heap_compactions: int = 0
         #: High-water mark of the heap size (live + cancelled entries).
         self.peak_heap_size: int = 0
-        #: Number of horizon batches delivered (distinct timestamps that
-        #: fired at least one event) and the largest batch seen.
+        #: Number of horizon batches delivered: distinct timestamps that
+        #: fired at least one event, counted per :meth:`run` call.
         self.horizon_batches: int = 0
-        self.max_batch_size: int = 0
         #: Multi-member groups pushed by :meth:`schedule_fire_many` and
         #: the total members they carried.  These measure how often the
         #: grouped fan-out path *engages*; ``horizon_batches`` measures
@@ -376,173 +369,135 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # run control
     # ------------------------------------------------------------------ #
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run the event loop, delivering events in horizon batches.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run the event loop, one heap entry per iteration.
 
-        Each outer iteration peeks the minimum timestamp (the *horizon*)
-        and drains every entry sharing it in one inner pass, so the
-        ``until`` comparison and loop control run once per distinct
-        timestamp, and an out-of-bound entry is never popped just to be
-        pushed back.  ``heap[0]`` is re-checked between callbacks, so an
-        event scheduled into the open horizon (same time, earlier
-        priority) still fires in exact ``(time, priority, sequence)``
-        order, and mid-batch ``stop()`` / ``max_events`` / cancellation /
-        compaction behave exactly as per-event delivery did.
+        Each iteration peeks ``heap[0]``; an entry past ``until`` never
+        leaves the heap, so a later call resumes exactly where this one
+        stopped.  :meth:`stop`, cancellation and compaction inside a
+        callback take effect before the next entry is considered.
 
         Parameters
         ----------
         until:
             Stop once the clock would advance beyond this time.  Events at
-            exactly ``until`` still fire.  ``None`` runs the heap dry.
-        max_events:
-            Safety valve — stop after firing this many events.
+            exactly ``until`` still fire.  ``None`` runs the heap dry.  A
+            bound before the current time, or NaN, raises
+            :class:`SimulationError`: the clock never moves backwards.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if until is None:
+            limit = math.inf
+        else:
+            limit = float(until)
+            if not limit >= self.now:  # also true for NaN
+                raise SimulationError(
+                    f"cannot run until {until!r}, which is before "
+                    f"now={self.now!r}")
         self._running = True
         self._stopped = False
-        limit = math.inf if until is None else until
-        remaining = math.inf if max_events is None else max_events
         processed = self._processed
         batches = self.horizon_batches
-        max_batch = self.max_batch_size
+        # NaN compares unequal to every time, so the first event fired in
+        # this call opens a new horizon batch.
+        last_time = math.nan
         heappop = _heappop
-        batch = 0
+        heap = self._heap
         try:
-            heap = self._heap
             while heap:
                 if self._stopped:
                     break
-                horizon = heap[0][0]
-                if horizon > limit:
-                    # Unlike a pop-then-push-back scheme, the entry never
-                    # leaves the heap; callers may resume the run later.
+                entry = heap[0]
+                time = entry[0]
+                if time > limit:
                     # limit == until here: the branch is unreachable with
-                    # an unbounded run (limit = inf exceeds every horizon).
+                    # an unbounded run (limit = inf exceeds every time).
                     self.now = limit
                     break
-                if horizon < self.now:  # pragma: no cover - invariant
-                    raise SimulationError("event time went backwards")
-                batch = 0
-                while True:
-                    entry = heappop(heap)
-                    if len(entry) == 4:
-                        event = entry[3]
-                        event.popped = True
-                        if event.cancelled:
-                            self._cancelled_in_heap -= 1
-                            # A compaction cannot run here (no user code),
-                            # but the heap may now be empty or past the
-                            # horizon.
-                            if not heap or heap[0][0] != horizon:
-                                break
-                            continue
-                        self.now = horizon
-                        event.callback(*event.args, **event.kwargs)
-                    elif len(entry) == 5:
-                        self.now = horizon
-                        entry[3](*entry[4])
-                    else:
-                        # Grouped fan-out from schedule_fire_many.  Members
-                        # are (time, sequence, callback, args), pre-sorted
-                        # in exact global firing order among themselves.
-                        # Fire each directly while it is provably next in
-                        # the global order; hand the rest back to the heap
-                        # the moment anything else must come first.
-                        members = entry[3]
-                        n_members = len(members)
-                        m = 0
-                        while True:
-                            member = members[m]
-                            time_m = member[0]
-                            if time_m != horizon:
-                                # The member opens a new horizon batch.
-                                if batch:
-                                    processed += batch
-                                    batches += 1
-                                    if batch > max_batch:
-                                        max_batch = batch
-                                    batch = 0
-                                horizon = time_m
-                            self.now = time_m
-                            try:
-                                member[2](*member[3])
-                            except BaseException:
-                                # Keep the heap consistent on a raising
-                                # callback: the unfired members survive as
-                                # plain fire tuples, exactly as the scalar
-                                # loop would have left them.
-                                heap = self._heap
-                                for j in range(m + 1, n_members):
-                                    mj = members[j]
-                                    _heappush(heap, (mj[0], 0, mj[1],
-                                                     mj[2], mj[3]))
-                                self.fire_group_requeued += (n_members
-                                                             - m - 1)
-                                raise
-                            batch += 1
-                            remaining -= 1
-                            m += 1
-                            heap = self._heap
-                            if m == n_members:
-                                break
-                            nxt = members[m]
-                            time_n = nxt[0]
-                            fire_direct = (remaining > 0
-                                           and not self._stopped
-                                           and time_n <= limit)
-                            if fire_direct and heap:
-                                top = heap[0]
-                                time_t = top[0]
-                                # The next member fires directly only when
-                                # its (time, priority=0, sequence) key
-                                # precedes the heap top's.
-                                if time_n > time_t or (
-                                        time_n == time_t
-                                        and not (top[1] > 0
-                                                 or nxt[1] < top[2])):
-                                    fire_direct = False
-                            if not fire_direct:
-                                for j in range(m, n_members):
-                                    mj = members[j]
-                                    _heappush(heap, (mj[0], 0, mj[1],
-                                                     mj[2], mj[3]))
-                                self.fire_group_requeued += n_members - m
-                                break
-                        heap = self._heap
-                        if (not heap or heap[0][0] != horizon
-                                or remaining <= 0 or self._stopped):
-                            break
+                heappop(heap)
+                if len(entry) == 4:
+                    event = entry[3]
+                    event.popped = True
+                    if event.cancelled:
+                        self._cancelled_in_heap -= 1
                         continue
-                    batch += 1
-                    remaining -= 1
-                    # Re-read: a cancellation inside the callback may have
-                    # compacted the heap, swapping in a fresh list.  The
-                    # horizon test leads because it is the overwhelmingly
-                    # common exit (or-chain, so the order is behaviourless).
+                    self.now = time
+                    event.callback(*event.args, **event.kwargs)
+                elif len(entry) == 5:
+                    self.now = time
+                    entry[3](*entry[4])
+                else:
+                    # Grouped fan-out from schedule_fire_many.  Members
+                    # are (time, sequence, callback, args), pre-sorted in
+                    # exact global firing order among themselves.  Fire
+                    # each directly while it is provably next in the
+                    # global order; hand the rest back to the heap the
+                    # moment anything else must come first.
+                    members = entry[3]
+                    n_members = len(members)
+                    m = 0
+                    while True:
+                        member = members[m]
+                        time = member[0]
+                        self.now = time
+                        try:
+                            member[2](*member[3])
+                        except BaseException:
+                            # Keep the heap consistent on a raising
+                            # callback: the unfired members survive as
+                            # plain fire tuples, exactly as the scalar
+                            # loop would have left them.
+                            self._requeue(members, m + 1)
+                            raise
+                        processed += 1
+                        if time != last_time:
+                            batches += 1
+                            last_time = time
+                        m += 1
+                        if m == n_members:
+                            break
+                        nxt = members[m]
+                        time_n = nxt[0]
+                        heap = self._heap
+                        if self._stopped or time_n > limit:
+                            self._requeue(members, m)
+                            break
+                        if heap:
+                            top = heap[0]
+                            time_t = top[0]
+                            # The next member fires directly only when its
+                            # (time, priority=0, sequence) key precedes
+                            # the heap top's.
+                            if time_n > time_t or (
+                                    time_n == time_t
+                                    and (top[1] < 0 or top[1] == 0
+                                         and top[2] < nxt[1])):
+                                self._requeue(members, m)
+                                break
                     heap = self._heap
-                    if (not heap or heap[0][0] != horizon
-                            or remaining <= 0 or self._stopped):
-                        break
-                if batch:
-                    processed += batch
+                    continue
+                processed += 1
+                if time != last_time:
                     batches += 1
-                    if batch > max_batch:
-                        max_batch = batch
-                    batch = 0
-                if remaining <= 0:
-                    break
+                    last_time = time
+                # Re-read: a cancellation inside the callback may have
+                # compacted the heap, swapping in a fresh list.
+                heap = self._heap
             else:
-                if until is not None and until > self.now:
-                    self.now = until
+                if until is not None:
+                    self.now = limit
         finally:
-            # ``batch`` is non-zero only when a callback raised mid-batch;
-            # the events that did fire still count.
-            self._processed = processed + batch
+            self._processed = processed
             self.horizon_batches = batches
-            self.max_batch_size = max_batch
             self._running = False
+
+    def _requeue(self, members: list, start: int) -> None:
+        """Push group members ``start:`` back as plain fire tuples."""
+        heap = self._heap
+        for time, sequence, callback, args in members[start:]:
+            _heappush(heap, (time, 0, sequence, callback, args))
+        self.fire_group_requeued += len(members) - start
 
     def stop(self) -> None:
         """Stop the event loop after the currently firing event returns."""

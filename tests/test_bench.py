@@ -32,7 +32,7 @@ def synthetic_report(profile: str, events_per_sec: float,
             events_per_sec=events_per_sec, peak_heap_size=100,
             heap_compactions=0, pending_events=0, cancelled_pending=0,
             transmissions=50, grid={"grid_rebuilds": 1.0},
-            horizon_batches=400, mean_batch_size=2.5, max_batch_size=9)
+            horizon_batches=400, mean_batch_size=2.5)
         for name in case_names
     ]
     report = BenchReport(profile=profile, description="synthetic",
@@ -239,13 +239,12 @@ def test_run_case_measures_horizon_batch_counters():
     case = bench_profile("tiny").cases[0]
     result = run_case(case)
     assert result.horizon_batches > 0
-    assert result.max_batch_size >= 1
     assert result.mean_batch_size >= 1.0
     # mean * batches == events, by definition of the counters.
     assert result.mean_batch_size * result.horizon_batches == \
         pytest.approx(result.events)
     payload = result.to_dict()
-    for key in ("horizon_batches", "mean_batch_size", "max_batch_size"):
+    for key in ("horizon_batches", "mean_batch_size"):
         assert key in payload
 
 
@@ -278,8 +277,7 @@ def test_case_result_from_dict_is_tolerant():
     restored = BenchCaseResult.from_dict(payload)
     assert restored.name == "alpha"
     # Pre-batching artifacts lack the new counters: defaults apply.
-    for key in ("horizon_batches", "mean_batch_size", "max_batch_size",
-                "from_the_future"):
+    for key in ("horizon_batches", "mean_batch_size", "from_the_future"):
         payload.pop(key, None)
     vintage = BenchCaseResult.from_dict(payload)
     assert vintage.horizon_batches == 0

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import pytest
+
 from repro.mobility.base import MobilityModel, StaticMobility, Waypoint
+from repro.mobility.random_waypoint import RandomWaypoint
 from repro.net.channel import WirelessChannel
 from repro.net.interface import WirelessInterface
 from repro.net.node import Node
@@ -345,7 +349,7 @@ def test_prefilter_refines_candidates_on_small_field():
     channel = WirelessChannel(sim, RangePropagation(250.0),
                               field_size=(750.0, 750.0))
     # Sender at a corner; two nodes nearby, two beyond the prefilter
-    # radius (250 + 25 slack) even after slack.
+    # radius (250 m plus a rounding margin).
     positions = [(0, 0), (100, 0), (0, 100), (700, 700), (600, 650)]
     nodes = []
     for node_id, (x, y) in enumerate(positions):
@@ -472,8 +476,6 @@ class ScriptedSegments(MobilityModel):
     behaviour — position() pushes on segment change, segment_at() marks
     the returned segment as pushed — with boundaries the test controls.
     """
-
-    provides_segments = True
 
     def __init__(self, segments):
         self._segments = list(segments)
@@ -622,24 +624,17 @@ def test_register_mid_run_invalidates_and_rebuilds_kinematics():
     assert len(mac.received) == 1
 
 
-def test_segmentless_mobility_forces_fallback_for_everyone():
+def test_mobility_without_segment_at_fails_at_instantiation():
+    """segment_at is part of the MobilityModel contract: a positions-only
+    model cannot be built, so the channel never needs a fallback."""
     class OrbitingMobility(MobilityModel):
-        """Third-party model: positions only, no trajectory segments."""
+        """Positions only, no trajectory segments."""
 
         def position(self, time):
             return (200.0 + 10.0 * math.sin(time), 0.0)
 
-    sim = Simulator(seed=1)
-    channel, nodes, macs = _kin_build(
-        sim, [StaticMobility(0.0, 0.0), OrbitingMobility()])
-    nodes[0].interface.transmit(frame(), 0.01)
-    sim.run()
-    stats = channel.grid_stats()
-    # One segment-less model keeps the whole channel on the snapshot
-    # fallback; correctness is unchanged — the orbiter still decodes.
-    assert stats["kinematics_mode"] == 0.0
-    assert stats["snapshot_invalidations"] == 0.0
-    assert len(macs[1].received) == 1
+    with pytest.raises(TypeError, match="OrbitingMobility.*segment_at"):
+        OrbitingMobility()
 
 
 def test_grid_stats_prefilter_counters_in_kinematics_mode():
@@ -658,3 +653,147 @@ def test_grid_stats_prefilter_counters_in_kinematics_mode():
     assert stats["mean_candidate_set"] == 3.0
     assert stats["mean_refined_set"] == 3.0
     assert stats["prefilter_hit_rate"] == 1.0
+
+
+# ---------------------------------------------------------------------- #
+# scalar and numpy paths agree with a brute-force scan
+# ---------------------------------------------------------------------- #
+class SpyDisc(RangePropagation):
+    """Disc with a 400 m sense range that records the stage-4 inputs."""
+
+    def __init__(self):
+        super().__init__(250.0, carrier_sense_factor=1.6)
+        self.distances = []
+        self.scalar_calls = 0
+        self.vector_calls = 0
+
+    def in_range(self, distance, rng=None):
+        self.scalar_calls += 1
+        self.distances.append(distance)
+        return super().in_range(distance, rng)
+
+    def in_range_many(self, distances, rng=None):
+        self.vector_calls += 1
+        self.distances.extend(distances.tolist())
+        return super().in_range_many(distances, rng)
+
+
+_AGREEMENT_NODES = 70
+_AGREEMENT_TX = 60
+_BEGIN_RECEPTION = WirelessInterface.begin_reception
+
+
+def _agreement_run(monkeypatch, field, moving, prefilter_min, vector_min):
+    """Run a fixed transmission schedule under forced crossovers.
+
+    Returns what the channel scheduled and delivered, plus the brute-force
+    expectation computed from the mobility models after the run.
+    """
+    monkeypatch.setattr(WirelessChannel, "_KIN_PREFILTER_VECTOR_MIN",
+                        prefilter_min)
+    monkeypatch.setattr(WirelessChannel, "_VECTOR_MIN_RECEIVERS", vector_min)
+    sim = Simulator(seed=3)
+    propagation = SpyDisc()
+    channel = WirelessChannel(sim, propagation, max_node_speed=20.0,
+                              field_size=field)
+    layout = np.random.default_rng(11)
+    nodes = []
+    for node_id in range(_AGREEMENT_NODES):
+        if moving:
+            mobility = RandomWaypoint(
+                np.random.default_rng(100 + node_id), field_size=field,
+                max_speed=20.0, min_speed=1.0, pause_time=0.5)
+        else:
+            mobility = StaticMobility(layout.uniform(0, field[0]),
+                                      layout.uniform(0, field[1]))
+        node = Node(sim, node_id, mobility=mobility)
+        node.interface = WirelessInterface(sim, node, channel)
+        node.interface.attach_mac(RecordingMac())
+        nodes.append(node)
+
+    transmissions, scheduled, delivered = [], [], []
+    real_fire_many = sim.schedule_fire_many
+
+    def record_fire_many(items):
+        scheduled.append([(callback.__self__.node.node_id, delay, args[2])
+                          for delay, callback, args in items])
+        real_fire_many(items)
+
+    sim.schedule_fire_many = record_fire_many
+
+    def record_begin(self, packet, duration, decodable, sender_id):
+        delivered.append((sim.now, self.node.node_id, sender_id, decodable))
+        _BEGIN_RECEPTION(self, packet, duration, decodable, sender_id)
+
+    monkeypatch.setattr(WirelessInterface, "begin_reception", record_begin)
+
+    def send(sender):
+        transmissions.append((sim.now, sender))
+        packet = frame(sender, -1)
+        packet.mac_dst = -1
+        nodes[sender].interface.transmit(packet, 1e-4)
+
+    for k in range(_AGREEMENT_TX):
+        sim.schedule(0.25 + 0.5 * k, send, (17 * k) % _AGREEMENT_NODES)
+    sim.run()
+
+    # Brute force: every other node in registration order, exact
+    # math.hypot on the mobility models' own positions.
+    detect = propagation.detection_range()
+    exp_distances, exp_scheduled, exp_delivered = [], [], []
+    for now, sender in transmissions:
+        sx, sy = nodes[sender].mobility.position(now)
+        in_reach = []
+        for node in nodes:
+            if node.node_id == sender:
+                continue
+            x, y = node.mobility.position(now)
+            d = math.hypot(x - sx, y - sy)
+            if d <= detect:
+                in_reach.append((node.node_id, d))
+        exp_distances.extend(d for _, d in in_reach)
+        if in_reach:
+            exp_scheduled.append([(i, propagation.delay(d), d <= 250.0)
+                                  for i, d in in_reach])
+        exp_delivered.extend(sorted(
+            (float(now + propagation.delay(d)), i, sender, d <= 250.0)
+            for i, d in in_reach))
+    return {
+        "channel": channel,
+        "propagation": propagation,
+        "observed": (propagation.distances, scheduled, delivered),
+        "expected": (exp_distances, exp_scheduled, exp_delivered),
+    }
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "waypoint"])
+@pytest.mark.parametrize("field", [(1000.0, 1000.0), (3000.0, 3000.0)],
+                         ids=["single_cell", "gridded"])
+def test_prefilter_and_reception_paths_agree_with_brute_force(
+        monkeypatch, field, moving):
+    """Both prefilter paths (fused scalar loop, numpy pass) and both
+    stage-4 paths (scalar, in_range_many) yield the same receivers,
+    distances and delivery order as an exact scan over every node."""
+    above = _AGREEMENT_NODES + 1
+    runs = {}
+    for prefilter_min in (0, above):
+        for vector_min in (0, above):
+            run = _agreement_run(monkeypatch, field, moving,
+                                 prefilter_min, vector_min)
+            assert run["observed"] == run["expected"]
+            stats = run["channel"].grid_stats()
+            assert stats["single_cell"] == float(field[0] <= 1000.0)
+            assert stats["transmissions"] == _AGREEMENT_TX
+            propagation = run["propagation"]
+            if vector_min == 0:
+                assert propagation.scalar_calls == 0
+                assert propagation.vector_calls > 0
+            else:
+                assert propagation.vector_calls == 0
+                assert propagation.scalar_calls > 0
+            runs[prefilter_min, vector_min] = run["observed"]
+    first = runs[0, 0]
+    assert all(observed == first for observed in runs.values())
+    # The schedule exercises sense-only and decodable receivers alike.
+    decodable = [flag for _, _, _, flag in first[2]]
+    assert any(decodable) and not all(decodable)

@@ -115,15 +115,6 @@ def test_stop_halts_processing():
     assert sim.pending_events == 1
 
 
-def test_max_events_limits_processing():
-    sim = Simulator(seed=1)
-    fired = []
-    for i in range(5):
-        sim.schedule(float(i + 1), fired.append, i)
-    sim.run(max_events=2)
-    assert fired == [0, 1]
-
-
 def test_negative_delay_rejected():
     sim = Simulator(seed=1)
     with pytest.raises(SimulationError):
@@ -159,6 +150,46 @@ def test_run_with_empty_heap_advances_to_until():
     sim = Simulator(seed=1)
     sim.run(until=4.2)
     assert sim.now == 4.2
+
+
+@pytest.mark.parametrize("pending", [True, False])
+def test_run_until_before_now_rejected(pending):
+    """An until bound in the past must not move the clock backwards,
+    whether or not events are still pending."""
+    sim = Simulator(seed=1)
+    fired = []
+    if pending:
+        sim.schedule(2.0, fired.append, "later")
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=0.5)
+    assert sim.now == 1.0
+    # The clock is intact: a new delay counts from 1.0, not 0.5.
+    sim.schedule(0.1, fired.append, "next")
+    sim.run()
+    assert fired == (["next", "later"] if pending else ["next"])
+    assert sim.now == (2.0 if pending else 1.1)
+
+
+def test_run_until_equal_to_now_is_a_no_op_bound():
+    sim = Simulator(seed=1)
+    fired = []
+    sim.schedule(1.0, fired.append, "edge")
+    sim.schedule(2.0, fired.append, "later")
+    sim.run(until=1.0)
+    sim.run(until=1.0)
+    assert fired == ["edge"]
+    assert sim.now == 1.0
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator(seed=1)
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert fired == []
+    assert sim.now == 0.0
 
 
 def test_pending_events_excludes_cancelled_garbage():
@@ -338,18 +369,6 @@ def test_compaction_inside_batch_preserves_order():
     assert sim.pending_events == 0
 
 
-def test_max_events_expiring_mid_batch():
-    sim = Simulator(seed=1)
-    order = []
-    for label in range(4):
-        sim.schedule(1.0, order.append, label)
-    sim.run(max_events=2)
-    assert order == [0, 1]
-    assert sim.now == 1.0
-    sim.run()
-    assert order == [0, 1, 2, 3]
-
-
 def test_horizon_batch_counters():
     sim = Simulator(seed=1)
     out = []
@@ -361,7 +380,6 @@ def test_horizon_batch_counters():
     sim.run()
     assert sim.processed_events == 6
     assert sim.horizon_batches == 3
-    assert sim.max_batch_size == 3
     assert sim.mean_batch_size == pytest.approx(2.0)
 
 
@@ -426,7 +444,6 @@ def test_schedule_fire_counts_in_heap_and_batch_stats():
     sim.run()
     assert out == ["a", "b"]
     assert sim.horizon_batches == 1
-    assert sim.max_batch_size == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -492,16 +509,51 @@ def test_fire_many_cancellation_by_member_suppresses_heap_event():
     assert order == ["m1", "m2"]
 
 
-def test_fire_many_max_events_stops_inside_fanout_and_resumes():
-    """max_events expiring mid-group stops exactly there; a later run()
-    resumes with the remaining members intact."""
+@pytest.mark.parametrize("priority", [-1, 0, 1])
+def test_fire_many_member_yields_to_same_time_event_by_priority(priority):
+    """A same-time event scheduled by a member fires before the next
+    member exactly when its (priority, sequence) key is smaller: a
+    negative priority wins over an earlier member sequence number."""
+    def run(style):
+        sim = Simulator(seed=1)
+        order = []
+
+        def first():
+            order.append("m0")
+            sim.schedule(0.0, order.append, "event", priority=priority)
+
+        entries = [(1.0, first, ()), (1.0, order.append, ("m1",))]
+        if style == "many":
+            sim.schedule_fire_many(entries)
+        else:
+            for delay, callback, args in entries:
+                sim.schedule_fire(delay, callback, *args)
+        sim.run()
+        return order
+
+    expected = (["m0", "event", "m1"] if priority < 0
+                else ["m0", "m1", "event"])
+    assert run("many") == run("scalar") == expected
+
+
+def test_fire_many_stop_inside_fanout_requeues_and_resumes():
+    """stop() from a member callback stops exactly there: the unfired
+    members go back to the heap as plain entries, and a later run()
+    resumes with them intact."""
     sim = Simulator(seed=1)
     order = []
-    sim.schedule_fire_many([(0.1 * (i + 1), order.append, (i,))
+
+    def member(i):
+        order.append(i)
+        if i == 1:
+            sim.stop()
+
+    sim.schedule_fire_many([(0.1 * (i + 1), member, (i,))
                             for i in range(5)])
-    sim.run(max_events=2)
+    sim.run()
     assert order == [0, 1]
     assert sim.pending_events == 3
+    assert sim.fire_group_requeued == 3
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -585,14 +637,13 @@ def test_fire_many_counts_in_heap_and_batch_stats():
     # the whole point of the batching — so pending_events (a heap-entry
     # count) reads 1 here, not 2.  Once a run is interrupted mid-group
     # the remainder is pushed back as individual entries and the count
-    # becomes member-level again (see the max_events test above).
+    # becomes member-level again (see the stop() test above).
     assert sim.pending_events == 1
     assert sim.heap_size == 1
     sim.run()
     assert out == ["a", "b"]
     assert sim.processed_events == 2
     assert sim.horizon_batches == 1
-    assert sim.max_batch_size == 2
 
 
 def test_fire_many_group_counters():
