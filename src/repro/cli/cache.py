@@ -8,20 +8,18 @@ directories)::
     repro-cache prune  ROOT [--temp-age SECONDS] [--dry-run]
     repro-cache merge  DEST SOURCE [SOURCE ...]
     repro-cache gc     ROOT [--max-age-days D] [--max-size-mb M] [--dry-run]
-    repro-cache pack   ROOT [--batch-size N]
     repro-cache unpack ROOT
 
 Exit status is 0 on success; ``verify`` exits 1 when corrupt entries are
 found and ``merge`` exits 1 when same-key entries with different content
-collide (the destination copy is kept either way).
+collide (the destination copy is kept either way).  Every command but
+``merge`` (whose DEST may be new) exits 2 when ROOT is not an existing
+directory, rather than creating it and reporting an empty cache.
 
-``pack`` consolidates loose per-cell entry files into packed segment
-files (``packs/*.pack``: many entries per file behind an offset index —
-the layout scheduler workers write by default); ``unpack`` explodes the
-segments back into loose files.  Both preserve every entry byte-for-byte
-and neither changes the content-addressed key contract, so lookups,
-``verify``, ``prune``, ``gc`` and ``merge`` treat packed and loose
-entries identically.
+``unpack`` is the one-way migration off the retired packed-segment
+layout (``packs/*.pack``: many entries per file behind an offset index).
+It writes every packed entry back as a loose file, byte for byte, and
+deletes the segments; until then the other commands refuse the root.
 
 A cache entry is only served when its recorded ``repro`` version matches
 the running package, and **any PR that changes simulation behaviour must
@@ -36,10 +34,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.exec import ResultCache
-from repro.exec.cache import PACK_BATCH_SIZE
+from repro.exec.cache import unpack_segments
 
 
 def _fmt_bytes(n: int) -> str:
@@ -50,9 +49,22 @@ def _fmt_bytes(n: int) -> str:
     return f"{n} B"  # pragma: no cover - unreachable
 
 
+def _existing_cache(root: str) -> ResultCache:
+    """Open ``root`` for maintenance; it must already exist.
+
+    Raises :class:`ValueError` for a missing root — a mistyped path must
+    fail, not be created and reported as a clean, empty cache — and for
+    a root that still holds packed segments.
+    """
+    if not Path(root).is_dir():
+        raise ValueError(f"cache root {root!r} is not an existing "
+                         f"directory")
+    return ResultCache(root)
+
+
 # ---------------------------------------------------------------------- #
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = ResultCache(args.root).stats()
+    stats = _existing_cache(args.root).stats()
     if args.json:
         payload = dataclasses.asdict(stats)
         payload["root"] = str(stats.root)
@@ -65,15 +77,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for version, count in stats.by_version.items():
         marker = " (current)" if version == stats.current_version else ""
         print(f"    repro {version}: {count}{marker}")
-    print(f"  packed:       {stats.packed_entries} entr(ies) in "
-          f"{stats.packs} pack segment(s)")
     print(f"  unreadable:   {stats.unreadable}")
     print(f"  temp files:   {stats.temp_files}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problems = ResultCache(args.root).verify()
+    problems = _existing_cache(args.root).verify()
     corrupt = [p for p in problems if p.kind == "corrupt"]
     stale = [p for p in problems if p.kind == "stale"]
     if args.json:
@@ -89,7 +99,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
-    report = ResultCache(args.root).prune(
+    report = _existing_cache(args.root).prune(
         temp_min_age_seconds=args.temp_age, dry_run=args.dry_run)
     verb = "would remove" if report.dry_run else "removed"
     for problem in report.problems:
@@ -103,11 +113,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     dest = ResultCache(args.dest)
     total_copied = total_identical = total_conflicts = 0
     for source in args.sources:
-        try:
-            merged = dest.merge_from(source)
-        except ValueError as exc:
-            print(f"merge: {exc}", file=sys.stderr)
-            return 2
+        merged = dest.merge_from(source)
         print(f"{source} -> {args.dest}: {merged.copied} copied, "
               f"{merged.identical} already present, "
               f"{merged.conflicts} conflict(s)")
@@ -121,17 +127,13 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 1 if total_conflicts else 0
 
 
-def cmd_pack(args: argparse.Namespace) -> int:
-    segments, packed = ResultCache(args.root).pack_all(
-        batch_size=args.batch_size)
-    print(f"packed {packed} loose entr(ies) into {segments} segment(s)")
-    return 0
-
-
 def cmd_unpack(args: argparse.Namespace) -> int:
-    segments, unpacked = ResultCache(args.root).unpack_all()
+    segments, unpacked, unreadable = unpack_segments(args.root)
     print(f"unpacked {unpacked} entr(ies) from {segments} segment(s)")
-    return 0
+    for path in unreadable:
+        print(f"unreadable segment left in place (delete it to use the "
+              f"cache): {path}", file=sys.stderr)
+    return 1 if unreadable else 0
 
 
 def cmd_gc(args: argparse.Namespace) -> int:
@@ -139,7 +141,7 @@ def cmd_gc(args: argparse.Namespace) -> int:
         print("gc: pass --max-age-days and/or --max-size-mb",
               file=sys.stderr)
         return 2
-    removed = ResultCache(args.root).gc(
+    removed = _existing_cache(args.root).gc(
         max_age_seconds=(None if args.max_age_days is None
                          else args.max_age_days * 86400.0),
         max_total_bytes=(None if args.max_size_mb is None
@@ -202,17 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report what would be removed, remove nothing")
     gc.set_defaults(func=cmd_gc)
 
-    pack = sub.add_parser(
-        "pack", help="consolidate loose entry files into packed segments")
-    pack.add_argument("root", help="cache directory")
-    pack.add_argument("--batch-size", type=int, default=PACK_BATCH_SIZE,
-                      metavar="N",
-                      help="entries per packed segment "
-                           f"(default {PACK_BATCH_SIZE})")
-    pack.set_defaults(func=cmd_pack)
-
     unpack = sub.add_parser(
-        "unpack", help="explode packed segments back into loose files")
+        "unpack", help="turn retired packed segments into loose entries")
     unpack.add_argument("root", help="cache directory")
     unpack.set_defaults(func=cmd_unpack)
     return parser
@@ -220,7 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

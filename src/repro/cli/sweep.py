@@ -5,7 +5,7 @@ Subcommands::
     repro-sweep run    [--profile P | --settings-json FILE] [--shard i/K]
                        [--propagation MODEL [--propagation-param K=V ...]]
                        [--scheduler K [--max-retries N] [--inject-fault F]
-                        [--worker-timeout S] [--inject-hang F] [--no-pool]]
+                        [--worker-timeout S] [--inject-hang F]]
                        [--workers N] [--cache DIR] [--out PATH] [--quiet]
                        [--list-profiles]
     repro-sweep plan   [--profile P | --settings-json FILE] --shards K
@@ -22,10 +22,9 @@ and exits.
 ``run --scheduler K`` runs the whole grid through the streaming shard
 scheduler (:class:`repro.exec.ClusterExecutor`): cells already in the
 ``--cache`` are served without simulating, the rest are dispatched to a
-persistent pool of up to K worker processes (``--no-pool`` retires each
-worker after its dispatch instead), and workers that die mid-shard are
-rebalanced for up to ``--max-retries`` extra rounds onto surviving warm
-workers.  The written artifact is a full ``SweepResult``, byte-identical
+persistent pool of up to K worker processes, and workers that die
+mid-shard are rebalanced for up to ``--max-retries`` extra rounds onto
+surviving warm workers.  The written artifact is a full ``SweepResult``, byte-identical
 to an unsharded serial ``run``.  A per-stage wall-time breakdown
 (spawn/serialize/simulate/stream/merge/cache_write/lookup) is printed
 after the run.  ``--inject-fault unit:after_cells[:round]``
@@ -217,11 +216,9 @@ def cmd_run_scheduler(args: argparse.Namespace,
     scheduler = ClusterExecutor(shards=args.scheduler,
                                 max_retries=max_retries,
                                 cache=args.cache, faults=faults,
-                                worker_timeout=args.worker_timeout,
-                                use_pool=not args.no_pool)
+                                worker_timeout=args.worker_timeout)
     print(f"scheduler: {total} grid cell(s) across up to "
-          f"{args.scheduler} worker shard(s)"
-          f"{' (pool disabled)' if args.no_pool else ''}")
+          f"{args.scheduler} worker shard(s)")
     started = time.time()  # repro-lint: ignore[D-wallclock] progress display only
     progress = None
     if not args.quiet:
@@ -280,12 +277,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return cmd_run_scheduler(args, settings)
     if (args.inject_fault or args.inject_hang
             or args.max_retries is not None
-            or args.worker_timeout is not None
-            or args.no_pool):
+            or args.worker_timeout is not None):
         # Silently ignoring these would let a CI script believe its
         # fault-injection path ran when nothing was injected.
-        print("--inject-fault/--inject-hang/--max-retries/--worker-timeout/"
-              "--no-pool require --scheduler", file=sys.stderr)
+        print("--inject-fault/--inject-hang/--max-retries/--worker-timeout "
+              "require --scheduler", file=sys.stderr)
         return 2
     shard = ShardSpec.parse(args.shard)
     executor = executor_from_args(args)
@@ -404,10 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "unit U in round R after C completed cells; "
                           "requires --worker-timeout (scheduler mode; "
                           "testing/CI knob; repeatable)")
-    run.add_argument("--no-pool", action="store_true",
-                     help="disable the persistent worker pool: retire "
-                          "every worker after its dispatch (scheduler "
-                          "mode; A/B measurement and CI coverage knob)")
     run.add_argument("--list-profiles", action="store_true",
                      help="list the canned grid profiles and the "
                           "registered stack components, then exit")

@@ -40,7 +40,6 @@ _EXPORTS = {
     "check_artifact_stamp": "repro.exec.artifact",
     "stamp_artifact": "repro.exec.artifact",
     "CACHE_FORMAT_VERSION": "repro.exec.cache",
-    "PACK_FORMAT_VERSION": "repro.exec.cache",
     "atomic_write_text": "repro.exec.cache",
     "CacheProblem": "repro.exec.cache",
     "CacheStats": "repro.exec.cache",

@@ -15,21 +15,21 @@ Key properties
 * **Durable artifact.**  Each entry stores both the config and the full
   :class:`~repro.scenario.results.ScenarioResult`, so a cache directory
   doubles as a self-describing archive of every simulation ever run.
-* **Crash/concurrency safe.**  Entries are written to a unique temporary
-  file and atomically renamed into place; corrupt or stale entries are
-  treated as misses, never as errors.
-* **Version-guarded.**  Each entry records the ``repro`` package version
-  that produced it; entries from another version are misses.  Any change
-  that alters simulation behaviour must therefore bump
-  ``repro.version.__version__`` — that is what keeps a long-lived cache
-  directory from silently serving pre-change results as current.
-* **Batch-friendly.**  :meth:`ResultCache.put_many` stores a batch of
-  small entries as one *packed segment* (``<root>/packs/<id>.pack``): a
-  one-line JSON offset index followed by the concatenated entry bodies,
-  written with a single fsync.  Packed entries are byte-identical to
-  their loose form, keep the same content-addressed key and version
-  guard, and stay O(1) to probe (seek + bounded read).  The key contract
-  is unchanged — packing is a storage layout, not a schema change.
+* **Crash/concurrency safe.**  Every entry goes through one writer: a
+  unique temporary file, ``fsync``, then an atomic rename into place.
+  Corrupt or stale entries are treated as misses, never as errors.
+* **Version-guarded.**  Each entry opens with a fixed header (format
+  version, key, ``repro`` version).  An entry whose header does not match
+  the running package — another version, or an entry written before the
+  header layout — is a miss for every reader.  Any change that alters
+  simulation behaviour must therefore bump ``repro.version.__version__``
+  — that is what keeps a long-lived cache directory from silently
+  serving pre-change results as current.
+* **One layout.**  Entries are loose files, ``<root>/ab/<key>.json``.
+  The retired packed-segment layout (``<root>/packs/*.pack``) is read
+  only by :func:`unpack_segments`, the one-way migration behind
+  ``repro-cache unpack``; :class:`ResultCache` refuses to open a root
+  that still holds segments rather than re-simulating them in silence.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import time
 from pathlib import Path
 from typing import (
-    Collection, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Collection, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.scenario.config import ScenarioConfig
@@ -57,21 +58,22 @@ CACHE_FORMAT_VERSION = 1
 #: writes (format version + 64-hex key + repro version ≈ 120 bytes).
 _PROBE_HEADER_BYTES = 512
 
-#: Bump when the packed-segment layout changes; older packs become misses.
-PACK_FORMAT_VERSION = 1
+#: Layout version of the retired packed segments :func:`unpack_segments`
+#: reads.
+_PACK_FORMAT_VERSION = 1
 
-#: Default number of entries consolidated into one segment by ``pack_all``.
-PACK_BATCH_SIZE = 1024
+#: A cache key: the 64 lowercase hex digits of :func:`config_key`.
+_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 
 def atomic_write_text(path: Union[str, os.PathLike], text: str,
                       encoding: str = "utf-8") -> Path:
     """Write ``text`` to ``path`` atomically (unique temp + ``os.replace``).
 
-    The durable-artifact discipline shared by the cache, sweep/shard
-    artifacts, and the campaign artifact store: a reader never observes
-    a half-written file, and a killed writer leaves only a
-    ``.{name}.{pid}.tmp`` orphan that sweepers recognise.
+    The durable-artifact discipline shared by sweep/shard artifacts and
+    the campaign artifact store: a reader never observes a half-written
+    file, and a killed writer leaves only a ``.{name}.{pid}.tmp`` orphan
+    that sweepers recognise.
     """
     target = Path(path)
     tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
@@ -80,18 +82,37 @@ def atomic_write_text(path: Union[str, os.PathLike], text: str,
     return target
 
 
-def _entry_header(key: str) -> str:
-    """The fixed JSON prefix :meth:`ResultCache.put` writes for ``key``.
+def _write_entry(path: Path, data: bytes) -> None:
+    """Durably write one cache entry: unique temp file, fsync, rename.
 
-    Entries open with the three guard fields in a byte-exact layout so
+    The single entry writer behind :meth:`ResultCache.put`,
+    :meth:`ResultCache.merge_from` and :func:`unpack_segments`.  Readers
+    never observe a half-written entry, a renamed entry survives a
+    machine crash, and a writer killed mid-write leaves only a
+    ``.{key}.{pid}.tmp`` orphan for :meth:`ResultCache.sweep_temp_files`.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+def _entry_header(key: str) -> bytes:
+    """The fixed prefix every current entry for ``key`` opens with.
+
+    Entries open with the three guard fields in a byte-exact layout, so
     :meth:`ResultCache.has_current` can validate an entry from a small
     bounded read instead of parsing the (potentially large) ``result``
-    payload.  The prefix cannot be spoofed by entry *content*: JSON
-    string values escape the quote characters the layout relies on.
+    payload, and :meth:`ResultCache.get` applies the very same test.  The
+    prefix cannot be spoofed by entry *content*: JSON string values
+    escape the quote characters the layout relies on.
     """
     return (f'{{"format_version": {CACHE_FORMAT_VERSION}, '
             f'"key": "{key}", '
-            f'"repro_version": {json.dumps(__version__)}, ')
+            f'"repro_version": {json.dumps(__version__)}, ').encode("utf-8")
 
 
 def _temp_file_pid(name: str) -> Optional[int]:
@@ -103,49 +124,64 @@ def _temp_file_pid(name: str) -> Optional[int]:
         return None
 
 
-def _pack_payload(entries: Sequence[Tuple[str, bytes]]) -> Tuple[str, bytes]:
-    """Serialize ``(key, entry_bytes)`` pairs into one packed segment.
+def unpack_segments(root: Union[str, os.PathLike],
+                    ) -> Tuple[int, int, List[Path]]:
+    """Turn the retired packed segments under ``root`` into loose entries.
 
-    The segment is a single JSON header line — pack format version plus
-    a ``key -> [offset, length]`` index, offsets relative to the end of
-    the header line — followed by the concatenated raw entry bytes.
-    Returns ``(pack_id, file_bytes)`` where ``pack_id`` is derived from
-    the entry bytes, so identical batches are content-addressed to the
-    same segment file.
+    The one-way migration behind ``repro-cache unpack``.  A segment
+    (``<root>/packs/<id>.pack``) is one JSON header line,
+    ``{"entries": {key: [offset, length]}, "pack_format": 1}`` with
+    offsets counted from the end of that line, followed by the
+    concatenated entry bytes.  Every entry is written byte for byte as a
+    loose entry through the one entry writer — an existing loose entry
+    wins, as it can only hold the same bytes or newer ones — and the
+    segment is then deleted.  An entry whose span runs past the end of
+    its segment was a miss already and is dropped.  Segments whose
+    header cannot be read are left in place and returned; orphaned
+    segment temp files are removed, and ``packs/`` too once empty.
+
+    Returns ``(segments_removed, entries_unpacked, unreadable_segments)``.
     """
-    index: Dict[str, List[int]] = {}
-    chunks: List[bytes] = []
-    offset = 0
-    for key, data in entries:
-        index[key] = [offset, len(data)]
-        chunks.append(data)
-        offset += len(data)
-    blob = b"".join(chunks)
-    header = json.dumps({"pack_format": PACK_FORMAT_VERSION,
-                         "entries": index},
-                        sort_keys=True, separators=(",", ":")) + "\n"
-    pack_id = hashlib.sha256(blob).hexdigest()[:32]
-    return pack_id, header.encode("utf-8") + blob
-
-
-def _read_pack_index(path: Path) -> Optional[Dict[str, Tuple[int, int]]]:
-    """Parse a segment's header line into ``key -> (abs_offset, length)``.
-
-    Returns ``None`` when the header is unreadable or from another pack
-    format version — the whole segment then reads as a miss, mirroring
-    how corrupt loose entries behave.
-    """
+    root = Path(root)
+    if not root.is_dir():
+        raise ValueError(f"cache root {str(root)!r} is not an existing "
+                         f"directory")
+    packs = root / "packs"
+    segments = entries = 0
+    unreadable: List[Path] = []
+    for segment in sorted(packs.glob("*.pack")):
+        try:
+            with open(segment, "rb") as handle:
+                header_line = handle.readline()
+                header = json.loads(header_line.decode("utf-8"))
+                if header.get("pack_format") != _PACK_FORMAT_VERSION:
+                    raise ValueError("unknown pack format")
+                spans = {str(key): (int(span[0]), int(span[1]))
+                         for key, span in dict(header["entries"]).items()}
+                for key in sorted(spans):
+                    offset, length = spans[key]
+                    if not _KEY_PATTERN.fullmatch(key) or offset < 0:
+                        continue
+                    handle.seek(len(header_line) + offset)
+                    data = handle.read(length)
+                    dst = root / key[:2] / f"{key}.json"
+                    if len(data) != length or dst.is_file():
+                        continue
+                    _write_entry(dst, data)
+                    entries += 1
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                IndexError):
+            unreadable.append(segment)
+            continue
+        segment.unlink()
+        segments += 1
+    for tmp in sorted(packs.glob(".*.tmp")):
+        tmp.unlink()
     try:
-        with open(path, "rb") as handle:
-            header_line = handle.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("pack_format") != PACK_FORMAT_VERSION:
-            return None
-        data_start = len(header_line)
-        return {str(key): (data_start + int(span[0]), int(span[1]))
-                for key, span in dict(header["entries"]).items()}
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
+        packs.rmdir()
+    except OSError:  # absent, or unreadable segments remain
+        pass
+    return segments, entries, unreadable
 
 
 def config_key(config: ScenarioConfig) -> str:
@@ -170,7 +206,8 @@ class ResultCache:
         Directory holding the cache; created (with parents) if missing.
         Entries live under two-character shard subdirectories
         (``<root>/ab/abcdef....json``) to keep directories small even for
-        very large grids.
+        very large grids.  A root that still holds packed segments raises
+        :class:`ValueError` naming ``repro-cache unpack``.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -181,13 +218,16 @@ class ResultCache:
             raise ValueError(
                 f"cache root {str(self.root)!r} exists and is not a "
                 f"directory") from exc
+        segments = sorted(self.root.glob("packs/*.pack"))
+        if segments:
+            raise ValueError(
+                f"cache root {str(self.root)!r} still holds packed segments "
+                f"(e.g. {segments[0].name}); run 'repro-cache unpack "
+                f"{self.root}' to turn them into loose entries")
         #: Number of successful lookups since this object was created.
         self.hits: int = 0
         #: Number of failed lookups (absent or unreadable entries).
         self.misses: int = 0
-        #: Cached pack index: (sorted pack paths it was built from, index).
-        self._pack_cache: Optional[
-            Tuple[Tuple[Path, ...], Dict[str, Tuple[Path, int, int]]]] = None
 
     # ------------------------------------------------------------------ #
     def _entry_path(self, key: str) -> Path:
@@ -198,8 +238,7 @@ class ResultCache:
         return self._entry_path(config_key(config))
 
     def __contains__(self, config: ScenarioConfig) -> bool:
-        path = self.path_for(config)
-        return path.is_file() or path.stem in self._pack_index()
+        return self.path_for(config).is_file()
 
     def _entry_files(self) -> List[Path]:
         """Every entry file, in sorted order.
@@ -210,82 +249,6 @@ class ResultCache:
         """
         return sorted(self.root.glob("??/*.json"))
 
-    def _pack_files(self) -> List[Path]:
-        """Every packed segment, in sorted order (see :meth:`_entry_files`)."""
-        return sorted(self.root.glob("packs/*.pack"))
-
-    def _pack_index(self) -> Dict[str, Tuple[Path, int, int]]:
-        """``key -> (segment_path, offset, length)`` across all segments.
-
-        Rebuilt whenever the set of segment files on disk changes (one
-        header-line read per segment), so batches flushed by concurrent
-        writers — e.g. pool workers mid-sweep — become visible to this
-        reader.  The first segment in sorted order wins duplicate keys,
-        keeping lookups deterministic on any filesystem.
-        """
-        files = tuple(self._pack_files())
-        if self._pack_cache is not None and self._pack_cache[0] == files:
-            return self._pack_cache[1]
-        index: Dict[str, Tuple[Path, int, int]] = {}
-        for path in files:
-            entries = _read_pack_index(path)
-            if entries is None:
-                continue
-            for key in sorted(entries):
-                offset, length = entries[key]
-                index.setdefault(key, (path, offset, length))
-        self._pack_cache = (files, index)
-        return index
-
-    def _read_span(self, path: Path, offset: int, length: int,
-                   ) -> Optional[bytes]:
-        """Read ``length`` bytes at ``offset``; ``None`` if short or gone."""
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read(length)
-        except OSError:
-            return None
-        return data if len(data) == length else None
-
-    def _packed_entry_bytes(self, key: str) -> Optional[bytes]:
-        """Raw entry bytes for ``key`` from a packed segment, if any."""
-        location = self._pack_index().get(key)
-        if location is None:
-            return None
-        path, offset, length = location
-        return self._read_span(path, offset, length)
-
-    def _entry_bytes(self, key: str) -> Optional[bytes]:
-        """Raw entry bytes for ``key``: loose file first, then segments."""
-        try:
-            return self._entry_path(key).read_bytes()
-        except OSError:
-            return self._packed_entry_bytes(key)
-
-    def _logical_entries(self) -> Iterator[Tuple[str, bytes]]:
-        """Yield ``(key, raw_bytes)`` for every distinct logical entry.
-
-        Loose entries first (sorted), then packed entries (sorted
-        segments, sorted keys), skipping keys already yielded — one
-        deterministic walk shared by merge and maintenance.
-        """
-        seen = set()
-        for path in self._entry_files():
-            try:
-                data = path.read_bytes()
-            except OSError:  # pragma: no cover - racing deleter
-                continue
-            seen.add(path.stem)
-            yield path.stem, data
-        index = self._pack_index()
-        for key in sorted(index):
-            if key in seen:
-                continue
-            data = self._packed_entry_bytes(key)
-            if data is not None:
-                yield key, data
-
     def temp_files(self) -> List[Path]:
         """Temporary files left behind by in-flight or crashed writers.
 
@@ -295,8 +258,7 @@ class ResultCache:
         forever unless swept — see :meth:`sweep_temp_files`.
         """
         return sorted(itertools.chain(self.root.glob(".*.tmp"),
-                                      self.root.glob("??/.*.tmp"),
-                                      self.root.glob("packs/.*.tmp")))
+                                      self.root.glob("??/.*.tmp")))
 
     def sweep_temp_files(self, min_age_seconds: float = 0.0,
                          pids: Optional[Collection[int]] = None) -> int:
@@ -324,29 +286,25 @@ class ResultCache:
         return removed
 
     def __len__(self) -> int:
-        keys = {path.stem for path in self._entry_files()}
-        keys.update(self._pack_index())
-        return len(keys)
+        return len(self._entry_files())
 
     # ------------------------------------------------------------------ #
     def get(self, config: ScenarioConfig) -> Optional[ScenarioResult]:
         """The cached result for ``config``, or ``None`` on a miss.
 
-        Unreadable, corrupt, or format-incompatible entries count as
-        misses; they are overwritten by the next :meth:`put`.  Loose
-        entry files are consulted first, then packed segments.
+        Absent, unreadable, corrupt, other-version and pre-header entries
+        all count as misses; they are overwritten by the next
+        :meth:`put`.  An entry is current exactly when it opens with the
+        :func:`_entry_header` prefix for its key — the test
+        :meth:`has_current` makes, so the two always agree.
         """
         key = config_key(config)
         try:
-            data = self._entry_bytes(key)
-            if data is None:
-                raise ValueError("absent entry")
-            payload = json.loads(data.decode("utf-8"))
-            if payload.get("version") != CACHE_FORMAT_VERSION:
-                raise ValueError("incompatible cache entry version")
-            if payload.get("repro_version") != __version__:
-                raise ValueError("entry from a different simulator version")
-            result = ScenarioResult.from_dict(payload["result"])
+            data = self._entry_path(key).read_bytes()
+            if not data.startswith(_entry_header(key)):
+                raise ValueError("entry is not current")
+            result = ScenarioResult.from_dict(
+                json.loads(data.decode("utf-8"))["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
@@ -356,56 +314,24 @@ class ResultCache:
     def has_current(self, config: ScenarioConfig) -> bool:
         """Whether a valid, current-version entry for ``config`` exists.
 
-        The same version/format guards as :meth:`get`, but without
-        deserializing the result and without touching the hit/miss
-        counters — a cheap existence probe (used by the scheduler's
-        progress heartbeat, where only *whether* a cell completed
-        matters, not its content).
+        The same header guard as :meth:`get`, but without deserializing
+        the result and without touching the hit/miss counters — a cheap
+        existence probe (used by the scheduler's progress heartbeat and
+        by campaign status polling, where only *whether* a cell
+        completed matters, not its content).
 
         Cost is O(1)-ish, not O(entry size): the probe reads a small
         bounded head and byte-compares it against the exact
         :func:`_entry_header` prefix :meth:`put` writes, so a multi-MB
-        ``result`` payload is never read, let alone parsed.  Entries
-        written before the header layout fall back to the full parse
-        with identical guard semantics.
+        ``result`` payload is never read, let alone parsed.
         """
         path = self.path_for(config)
-        key = path.stem
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 head = handle.read(_PROBE_HEADER_BYTES)
-        except (OSError, ValueError):
-            return self._packed_has_current(key)
-        if head.startswith(_entry_header(key)):
-            return True
-        # Legacy (pre-header) entries start straight into the sorted-key
-        # body; give them the original whole-file check.
-        try:
-            payload = json.loads(head if len(head) < _PROBE_HEADER_BYTES
-                                 else path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        except OSError:
             return False
-        return (isinstance(payload, dict)
-                and payload.get("version") == CACHE_FORMAT_VERSION
-                and payload.get("repro_version") == __version__
-                and "result" in payload)
-
-    def _packed_has_current(self, key: str) -> bool:
-        """Header probe for a packed entry.
-
-        Same bounded-read guard as the loose probe; packed entries are
-        always written with the :func:`_entry_header` prefix, so there
-        is no legacy fallback to consider.
-        """
-        location = self._pack_index().get(key)
-        if location is None:
-            return False
-        path, offset, length = location
-        head = self._read_span(path, offset,
-                               min(length, _PROBE_HEADER_BYTES))
-        if head is None:
-            return False
-        return head.startswith(_entry_header(key).encode("utf-8"))
+        return head.startswith(_entry_header(path.stem))
 
     def lookup(self, configs: Sequence[ScenarioConfig],
                ) -> Tuple[Dict[int, ScenarioResult], List[int]]:
@@ -430,32 +356,16 @@ class ResultCache:
     def put(self, config: ScenarioConfig, result: ScenarioResult) -> Path:
         """Store ``result`` for ``config``; returns the entry path.
 
-        The write is atomic (temp file + ``os.replace``), so concurrent
-        writers — e.g. two parallel sweeps sharing a cache directory —
-        can only race to write identical content.
+        The write is durable and atomic (temp file + fsync +
+        ``os.replace``), so concurrent writers — e.g. two parallel sweeps
+        sharing a cache directory — can only race to write identical
+        content.
 
         Entries are one JSON object whose first bytes are the fixed
         :func:`_entry_header` guard prefix (format version, key, repro
-        version), followed by the sorted-key body.  Readers that need
-        the payload (:meth:`get`) parse the whole object as before;
-        :meth:`has_current` validates entries from the header alone.
+        version), followed by the sorted-key body.
         """
         key = config_key(config)
-        path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(self._entry_text(key, config, result),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-        return path
-
-    def _entry_text(self, key: str, config: ScenarioConfig,
-                    result: ScenarioResult) -> str:
-        """The exact on-disk text of an entry — shared by both layouts.
-
-        One serializer guarantees a packed entry is byte-identical to
-        the loose file :meth:`put` would have written for the same pair.
-        """
         body = json.dumps({
             "version": CACHE_FORMAT_VERSION,
             "repro_version": __version__,
@@ -463,128 +373,17 @@ class ResultCache:
             "config": config.to_dict(),
             "result": result.to_dict(),
         }, sort_keys=True)
-        return _entry_header(key) + body[1:]
-
-    def put_many(self, items: Sequence[Tuple[ScenarioConfig,
-                                             ScenarioResult]],
-                 pack: bool = False) -> List[Path]:
-        """Store a batch of results; returns the file(s) written.
-
-        With ``pack=False`` this is a convenience loop over :meth:`put`
-        (one atomic file per entry).  With ``pack=True`` the whole batch
-        becomes one packed segment under ``<root>/packs/``, durably
-        written with a single fsync — the fast path for many small
-        entries, where per-entry write+rename dominates cache write
-        cost.  Packed entry bytes are identical to their loose form, so
-        every reader (:meth:`get`, :meth:`has_current`, verify, prune,
-        gc, merge) sees one logical namespace across both layouts.
-        """
-        if not items:
-            return []
-        if not pack:
-            return [self.put(config, result) for config, result in items]
-        entries: List[Tuple[str, bytes]] = []
-        for config, result in items:
-            key = config_key(config)
-            entries.append(
-                (key, self._entry_text(key, config, result).encode("utf-8")))
-        return [self._write_pack(entries)]
-
-    def _write_pack(self, entries: Sequence[Tuple[str, bytes]]) -> Path:
-        """Durably write one packed segment (temp + fsync + rename)."""
-        pack_id, blob = _pack_payload(entries)
-        packs_dir = self.root / "packs"
-        packs_dir.mkdir(parents=True, exist_ok=True)
-        target = packs_dir / f"{pack_id}.pack"
-        tmp = packs_dir / f".{pack_id}.{os.getpid()}.tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, blob)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, target)
-        return target
-
-    def pack_all(self, batch_size: int = PACK_BATCH_SIZE) -> Tuple[int, int]:
-        """Consolidate loose entry files into packed segments.
-
-        Entry bytes are moved verbatim (stale entries stay stale, keys
-        and guards unchanged) in batches of ``batch_size`` per segment;
-        each loose file is deleted once its segment is durable.  Returns
-        ``(segments_written, entries_packed)``.
-        """
-        loose = self._entry_files()
-        segments = packed = 0
-        for start in range(0, len(loose), batch_size):
-            batch: List[Tuple[str, bytes]] = []
-            sources: List[Path] = []
-            for path in loose[start:start + batch_size]:
-                try:
-                    data = path.read_bytes()
-                except OSError:  # pragma: no cover - racing deleter
-                    continue
-                batch.append((path.stem, data))
-                sources.append(path)
-            if not batch:
-                continue
-            self._write_pack(batch)
-            segments += 1
-            for path in sources:
-                try:
-                    path.unlink()
-                    packed += 1
-                except OSError:  # pragma: no cover - racing deleter
-                    pass
-        return segments, packed
-
-    def unpack_all(self) -> Tuple[int, int]:
-        """Explode packed segments back into loose entry files.
-
-        An existing loose entry wins over a packed duplicate (it can
-        only be the same bytes or newer).  Segments with unreadable
-        headers are left in place for :meth:`verify`/:meth:`prune` to
-        report.  Returns ``(segments_removed, entries_unpacked)``.
-        """
-        segments = entries_out = 0
-        for pack_path in self._pack_files():
-            index = _read_pack_index(pack_path)
-            if index is None:
-                continue
-            for key in sorted(index):
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
-                if data is None:
-                    continue
-                dst = self._entry_path(key)
-                if dst.is_file():
-                    continue
-                dst.parent.mkdir(parents=True, exist_ok=True)
-                tmp = dst.parent / f".{key}.{os.getpid()}.tmp"
-                tmp.write_bytes(data)
-                os.replace(tmp, dst)
-                entries_out += 1
-            try:
-                pack_path.unlink()
-                segments += 1
-            except OSError:  # pragma: no cover - racing deleter
-                pass
-        return segments, entries_out
+        path = self._entry_path(key)
+        _write_entry(path, _entry_header(key) + body[1:].encode("utf-8"))
+        return path
 
     def clear(self) -> int:
         """Delete every entry; returns the number of entries removed."""
         removed = 0
-        for entry in list(self._entry_files()):
+        for entry in self._entry_files():
             try:
                 entry.unlink()
                 removed += 1
-            except OSError:  # pragma: no cover - racing deleter
-                pass
-        for pack_path in self._pack_files():
-            index = _read_pack_index(pack_path)
-            try:
-                pack_path.unlink()
-                removed += len(index) if index is not None else 0
             except OSError:  # pragma: no cover - racing deleter
                 pass
         return removed
@@ -597,7 +396,10 @@ class ResultCache:
 
         Entries are only read far enough to extract their version stamps;
         unparseable files are counted as ``unreadable`` rather than
-        raised.  Use :meth:`verify` for the deep (re-hash) check.
+        raised.  A current-version entry written before the header layout
+        is listed as ``"<version> (pre-header)"``: like :meth:`get` and
+        :meth:`has_current`, ``current`` does not count it as servable.
+        Use :meth:`verify` for the deep (re-hash) check.
         """
         by_version: Dict[str, int] = {}
         entries = unreadable = 0
@@ -606,104 +408,55 @@ class ResultCache:
             entries += 1
             try:
                 total_bytes += path.stat().st_size
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                version = str(payload.get("repro_version"))
-            except (OSError, ValueError):
+                data = path.read_bytes()
+                version = str(json.loads(data.decode("utf-8"))
+                              .get("repro_version"))
+            except (OSError, ValueError, AttributeError):
                 unreadable += 1
                 continue
+            if (version == __version__
+                    and not data.startswith(_entry_header(path.stem))):
+                version += " (pre-header)"
             by_version[version] = by_version.get(version, 0) + 1
-        packs = packed_entries = 0
-        for pack_path in self._pack_files():
-            packs += 1
-            try:
-                total_bytes += pack_path.stat().st_size
-            except OSError:  # pragma: no cover - racing deleter
-                pass
-            index = _read_pack_index(pack_path)
-            if index is None:
-                unreadable += 1
-                continue
-            for key in sorted(index):
-                entries += 1
-                packed_entries += 1
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
-                try:
-                    if data is None:
-                        raise ValueError("truncated packed entry")
-                    payload = json.loads(data.decode("utf-8"))
-                    version = str(payload.get("repro_version"))
-                except ValueError:
-                    unreadable += 1
-                    continue
-                by_version[version] = by_version.get(version, 0) + 1
         return CacheStats(root=self.root, entries=entries,
                           total_bytes=total_bytes, unreadable=unreadable,
                           temp_files=len(self.temp_files()),
                           by_version=dict(sorted(by_version.items())),
-                          current_version=__version__,
-                          packs=packs, packed_entries=packed_entries)
+                          current_version=__version__)
 
     def verify(self) -> List["CacheProblem"]:
         """Deep integrity check of every entry; returns found problems.
 
         For each entry: the JSON must parse, the recorded key must match
-        the filename (or packed-index key), and — for entries stamped
-        with the *current* repro version — the stored config must
-        rebuild and re-hash to that same key.  Entries from other
-        versions are reported as ``stale`` (they are well-formed misses,
-        prunable but not corrupt).  Packed segments are checked entry by
-        entry; a problem inside a segment carries the offending ``key``
-        so :meth:`prune` can drop just that entry.
+        the filename, and — for entries stamped with the *current* repro
+        version — the stored config must rebuild and re-hash to that
+        same key.  Entries from other versions, and sound entries
+        written before the header layout, are reported as ``stale``
+        (they are well-formed misses, prunable but not corrupt).
         """
         problems: List[CacheProblem] = []
         for path in self._entry_files():
-            name_key = path.stem
+            key = path.stem
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
+                data = path.read_bytes()
+                payload = json.loads(data.decode("utf-8"))
             except (OSError, ValueError) as exc:
                 problems.append(CacheProblem(path, "corrupt",
                                              f"unreadable JSON: {exc}"))
                 continue
-            found = self._verify_payload(payload, name_key)
+            found = self._verify_payload(payload, key)
+            if found is None and not data.startswith(_entry_header(key)):
+                found = ("stale", "written before the entry-header layout")
             if found is not None:
-                problems.append(CacheProblem(path, found[0], found[1]))
-        for pack_path in self._pack_files():
-            index = _read_pack_index(pack_path)
-            if index is None:
-                problems.append(CacheProblem(
-                    pack_path, "corrupt", "unreadable pack header"))
-                continue
-            for key in sorted(index):
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
-                if data is None:
-                    problems.append(CacheProblem(
-                        pack_path, "corrupt",
-                        f"entry {key[:12]}… spans past end of segment",
-                        key=key))
-                    continue
-                try:
-                    payload = json.loads(data.decode("utf-8"))
-                except ValueError as exc:
-                    problems.append(CacheProblem(
-                        pack_path, "corrupt",
-                        f"entry {key[:12]}…: unreadable JSON: {exc}",
-                        key=key))
-                    continue
-                found = self._verify_payload(payload, key)
-                if found is not None:
-                    problems.append(CacheProblem(
-                        pack_path, found[0],
-                        f"entry {key[:12]}…: {found[1]}", key=key))
+                problems.append(CacheProblem(path, *found))
         return problems
 
     def _verify_payload(self, payload: object, name_key: str,
                         ) -> Optional[Tuple[str, str]]:
-        """The per-entry integrity checks shared by both layouts.
+        """The per-entry body checks behind :meth:`verify`.
 
         Returns ``(kind, detail)`` for a defective entry, ``None`` when
-        the entry is sound.
+        the entry body is sound.
         """
         if not isinstance(payload, dict):
             return "corrupt", "entry is not a JSON object"
@@ -732,18 +485,12 @@ class ResultCache:
 
         After a prune, every remaining entry is a servable hit for the
         current ``repro`` version.  With ``dry_run`` nothing is deleted;
-        the report shows what *would* go.  A defective entry inside a
-        packed segment is dropped by rewriting the segment with only its
-        sound entries (the segment itself goes when none survive or its
-        header is unreadable).
+        the report shows what *would* go.
         """
         problems = self.verify()
         removed_corrupt = removed_stale = 0
-        pack_drops: Dict[Path, List[str]] = {}
         for problem in problems:
-            if problem.key is not None:
-                pack_drops.setdefault(problem.path, []).append(problem.key)
-            elif not dry_run:
+            if not dry_run:
                 try:
                     problem.path.unlink()
                 except OSError:  # pragma: no cover - racing deleter
@@ -752,9 +499,6 @@ class ResultCache:
                 removed_corrupt += 1
             else:
                 removed_stale += 1
-        if not dry_run:
-            for pack_path in sorted(pack_drops):
-                self._rewrite_pack(pack_path, set(pack_drops[pack_path]))
         temps = self.temp_files()
         if dry_run:
             cutoff = time.time() - temp_min_age_seconds  # repro-lint: ignore[D-wallclock] mtime GC only
@@ -771,28 +515,6 @@ class ResultCache:
                            temp_files=removed_temps, dry_run=dry_run,
                            problems=problems)
 
-    def _rewrite_pack(self, pack_path: Path, drop_keys: Collection[str],
-                      ) -> None:
-        """Rewrite a segment without ``drop_keys`` (delete it if empty)."""
-        index = _read_pack_index(pack_path)
-        survivors: List[Tuple[str, bytes]] = []
-        if index is not None:
-            for key in sorted(index):
-                if key in drop_keys:
-                    continue
-                offset, length = index[key]
-                data = self._read_span(pack_path, offset, length)
-                if data is not None:
-                    survivors.append((key, data))
-        replacement: Optional[Path] = None
-        if survivors:
-            replacement = self._write_pack(survivors)
-        if replacement != pack_path:
-            try:
-                pack_path.unlink()
-            except OSError:  # pragma: no cover - racing deleter
-                pass
-
     def gc(self, max_age_seconds: Optional[float] = None,
            max_total_bytes: Optional[int] = None,
            dry_run: bool = False) -> List[Path]:
@@ -800,15 +522,13 @@ class ResultCache:
 
         ``max_age_seconds`` drops entries whose mtime is older; after
         that, ``max_total_bytes`` drops the *oldest* surviving entries
-        until the remainder fits.  A packed segment ages and is dropped
-        as one unit (its entries were written in one batch and share a
-        mtime anyway).  Returns the (would-be) deleted paths.
+        until the remainder fits.  Returns the (would-be) deleted paths.
         """
         if max_age_seconds is None and max_total_bytes is None:
             raise ValueError("gc needs max_age_seconds and/or max_total_bytes")
         now = time.time()  # repro-lint: ignore[D-wallclock] entry-age GC, never a result input
         entries: List[Tuple[float, int, Path]] = []
-        for path in itertools.chain(self._entry_files(), self._pack_files()):
+        for path in self._entry_files():
             try:
                 stat = path.stat()
             except OSError:  # pragma: no cover - racing deleter
@@ -846,10 +566,8 @@ class ResultCache:
         Entries are content-addressed, so a same-key collision should
         carry identical bytes; when it does not (``conflicts``), the
         existing destination entry is kept and the difference reported
-        rather than silently overwritten.  Source entries inside packed
-        segments are merged too (they land as loose files — re-pack the
-        destination with ``pack_all`` if desired); orphan temp files in
-        the source are never copied.
+        rather than silently overwritten.  Orphan temp files in the
+        source are never copied.
         """
         if not isinstance(source, ResultCache):
             # Unlike the constructor (which creates missing roots), a merge
@@ -864,20 +582,20 @@ class ResultCache:
             raise ValueError("cannot merge a cache into itself")
         copied = identical = conflicts = 0
         conflict_paths: List[Path] = []
-        for key, data in source._logical_entries():
-            dst_path = self._entry_path(key)
-            existing = self._entry_bytes(key)
-            if existing is not None:
-                if existing == data:
+        for path in source._entry_files():
+            try:
+                data = path.read_bytes()
+            except OSError:  # pragma: no cover - racing deleter
+                continue
+            dst_path = self._entry_path(path.stem)
+            if dst_path.is_file():
+                if dst_path.read_bytes() == data:
                     identical += 1
                 else:
                     conflicts += 1
                     conflict_paths.append(dst_path)
                 continue
-            dst_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = dst_path.parent / f".{dst_path.stem}.{os.getpid()}.tmp"
-            tmp.write_bytes(data)
-            os.replace(tmp, dst_path)
+            _write_entry(dst_path, data)
             copied += 1
         return MergeStats(copied=copied, identical=identical,
                           conflicts=conflicts, conflict_paths=conflict_paths)
@@ -902,9 +620,9 @@ class CacheStats:
     #: entry count per recorded ``repro_version`` stamp.
     by_version: Dict[str, int]
     current_version: str
-    #: Packed segment files under ``<root>/packs/``.
+    #: Always 0 since the packed-segment layout was retired; kept only so
+    #: existing readers of these two fields keep working.
     packs: int = 0
-    #: Logical entries living inside packed segments (subset of ``entries``).
     packed_entries: int = 0
 
     @property
@@ -918,16 +636,13 @@ class CacheProblem:
     """One defective cache entry found by :meth:`ResultCache.verify`.
 
     ``kind`` is ``"corrupt"`` (unreadable, mis-keyed, or undeserializable)
-    or ``"stale"`` (well-formed but from another format/repro version).
-    ``key`` is set when the defect is one entry *inside* a packed
-    segment — ``path`` is then the segment file, and prune drops just
-    that entry by rewriting the segment.
+    or ``"stale"`` (well-formed but from another format/repro version,
+    or written before the entry-header layout).
     """
 
     path: Path
     kind: str
     detail: str
-    key: Optional[str] = None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -24,14 +24,14 @@ controller would, while staying a single ~local process tree:
    :class:`~repro.exec.shard.ShardMerger` frame by frame — lower
    memory than whole-shard artifacts, faster failure detection, and
    byte-identical merge order (assembly is canonical regardless of
-   arrival order).  Workers batch their cache writes through
-   :meth:`ResultCache.put_many` (packed segments by default), flushing
-   every ``flush_cells`` cells and at unit end.
+   arrival order).  A worker writes each cell to the shared cache with
+   :meth:`ResultCache.put` right after simulating it, then sends the
+   cell's frame.
 4. **Rebalance.**  When a worker dies mid-unit (crash, kill, or an
    injected fault), the cells it already streamed are kept, the
    scheduler sweeps the dead writer's orphaned cache temp files,
    re-filters the missing cells against the cache — cells the worker
-   flushed before dying are recovered for free — and re-plans only the
+   wrote before dying are recovered for free — and re-plans only the
    genuinely lost cells, up to ``max_retries`` extra rounds.
    Rebalancing reuses surviving warm workers from the pool rather than
    relaunching everything.
@@ -49,9 +49,9 @@ payloads over a different wire.
 Fault injection (tests / CI) is deterministic: a
 :class:`FaultInjection` names a scheduling round and work unit, and the
 worker kills its own process (``os._exit``) after the given number of
-completed cells — after the cell's batched cache write is flushed,
-before that cell's frame is sent, exactly like a machine lost mid-unit
-(the scheduler recovers the flushed cell from the cache next round).  A
+completed cells — after the cell's cache write, before that cell's
+frame is sent, exactly like a machine lost mid-unit (the scheduler
+recovers the written cell from the cache next round).  A
 ``mode="hang"`` fault instead wedges the worker (alive, no progress),
 which the per-worker ``worker_timeout`` heartbeat detects: the wedged
 process is terminated and its unit rebalanced like any other failure.
@@ -106,13 +106,6 @@ FAULT_EXIT_CODE = 73
 #: an hour; a file this old belongs to a writer that is long gone.
 STRAY_TEMP_MIN_AGE_SECONDS = 3600.0
 
-#: Completed cells a worker buffers before flushing one batched cache
-#: write (:meth:`ResultCache.put_many`).  The fault path and unit end
-#: always flush, so at most ``flush_cells - 1`` *streamed-and-merged*
-#: cells are ever pending a write — and those are already safe in the
-#: scheduler's merger.
-DEFAULT_FLUSH_CELLS = 8
-
 #: Grace period for a retiring pool worker to exit cleanly before it is
 #: terminated.
 _POOL_EXIT_TIMEOUT = 5.0
@@ -132,7 +125,7 @@ class FaultInjection:
 
     With ``mode="kill"`` (the default) the worker running work unit
     ``unit`` of scheduling round ``round`` kills its own process once
-    ``after_cells`` of its cells have completed (and been flushed to the
+    ``after_cells`` of its cells have completed (and been written to the
     cache) — before that cell's result frame is sent back.  With
     ``mode="hang"`` the worker instead stops making progress while
     staying alive (sleeping forever), which only a ``worker_timeout``
@@ -217,50 +210,34 @@ def _pool_worker_main(conn: Connection, src_root: str) -> None:
 
 
 def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
-    """Run one work unit: one result frame per cell, batched cache I/O.
+    """Run one work unit: write each cell to the cache, then stream it.
 
     The payload carries the sweep settings, the unit's canonical grid
-    indices, the shared cache root, the cache batching knobs
-    (``flush_cells``/``pack``), and the optional fault-injection hook.
-    Completed cells stream back immediately as individual frames;
-    cache writes are buffered and flushed through
-    :meth:`ResultCache.put_many` every ``flush_cells`` cells and at
-    unit end.  A fault flushes the batch *first* and withholds the
-    fatal cell's frame, so an injected kill leaves exactly the on-disk
-    state of a real crash-after-write — the scheduler recovers that
-    cell from the cache next round.
+    indices, the shared cache root, and the optional fault-injection
+    hook.  Each completed cell is written with :meth:`ResultCache.put`
+    and then sent back as its own frame, so an injected kill — which
+    lands after the write and withholds the fatal cell's frame — leaves
+    exactly the on-disk state of a real crash-after-write: the scheduler
+    recovers that cell from the cache next round.
     """
     from repro.experiments.sweep import SweepSettings
     settings = SweepSettings.from_dict(payload["settings"])
     indices = [int(index) for index in payload["cells"]]
     fail_after = payload.get("fail_after_cells")
     fail_mode = payload.get("fail_mode", "kill")
-    flush_cells = max(1, int(payload.get("flush_cells")
-                             or DEFAULT_FLUSH_CELLS))
-    pack = bool(payload.get("pack", True))
     grid = settings.grid()
     configs = [settings.cell_config(*grid[index]) for index in indices]
     cache = ResultCache(str(payload["cache_root"]))
-
-    batch: List[Tuple[ScenarioConfig, ScenarioResult]] = []
     cache_write_s = 0.0
-
-    def flush() -> None:
-        nonlocal cache_write_s
-        if not batch:
-            return
-        started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        cache.put_many(batch, pack=pack)
-        cache_write_s += time.perf_counter() - started  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        batch.clear()
 
     for position, config in enumerate(configs):
         started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
         result = simulate(config)
-        sim_s = time.perf_counter() - started  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        batch.append((config, result))
+        simulated = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+        sim_s = simulated - started
+        cache.put(config, result)
+        cache_write_s += time.perf_counter() - simulated  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
         if fail_after is not None and position + 1 >= int(fail_after):
-            flush()
             if fail_mode == "hang":
                 # Alive but wedged: hold the channel open and make no
                 # progress — only the scheduler's worker timeout can
@@ -273,9 +250,6 @@ def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
                             "result": result.to_dict(),
                             "sim_s": sim_s}, sort_keys=True)
         conn.send_bytes(frame.encode("utf-8"))
-        if len(batch) >= flush_cells:
-            flush()
-    flush()
     done = json.dumps({"done": payload["unit_index"],
                        "cache_write_s": cache_write_s}, sort_keys=True)
     conn.send_bytes(done.encode("utf-8"))
@@ -448,18 +422,6 @@ class ClusterExecutor:
         Start-method name or :mod:`multiprocessing` context, as in
         :class:`~repro.exec.executor.ParallelExecutor`.  ``None`` lets
         the :class:`WorkerPool` prefer the fork start method.
-    use_pool:
-        When ``True`` (default) workers persist across rounds and
-        across :meth:`run_sweep` calls until :meth:`close`.  When
-        ``False`` every worker is retired after its dispatch and the
-        pool is drained after each round — the relaunch-per-round
-        behaviour, kept for A/B measurement and CI coverage.
-    flush_cells / pack_cache:
-        Worker-side cache batching: completed cells are buffered and
-        written through :meth:`ResultCache.put_many` every
-        ``flush_cells`` cells (and at unit end / before an injected
-        fault), as one packed segment per batch when ``pack_cache`` is
-        true, else as loose per-cell files.
 
     Counters (reset at each :meth:`run_sweep` call) expose what happened:
     ``cells_from_cache`` (pre-filter plus post-crash recovery hits),
@@ -478,10 +440,7 @@ class ClusterExecutor:
                  faults: Sequence[FaultInjection] = (),
                  worker_timeout: Optional[float] = None,
                  mp_context: Union[str, multiprocessing.context.BaseContext,
-                                   None] = None,
-                 use_pool: bool = True,
-                 flush_cells: int = DEFAULT_FLUSH_CELLS,
-                 pack_cache: bool = True) -> None:
+                                   None] = None) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
         if workers is not None and workers < 1:
@@ -490,8 +449,6 @@ class ClusterExecutor:
             raise ValueError("max_retries must be >= 0")
         if worker_timeout is not None and worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive")
-        if flush_cells < 1:
-            raise ValueError("flush_cells must be at least 1")
         if worker_timeout is None and any(fault.mode == "hang"
                                           for fault in faults):
             # A wedged worker is only ever recovered by the heartbeat;
@@ -508,9 +465,6 @@ class ClusterExecutor:
         if isinstance(mp_context, str):
             mp_context = multiprocessing.get_context(mp_context)
         self._mp_context = mp_context
-        self.use_pool = use_pool
-        self.flush_cells = flush_cells
-        self.pack_cache = pack_cache
         self._pool: Optional[WorkerPool] = None
         #: Per-stage wall time accumulated across every run (campaigns).
         self.total_stage_seconds: Dict[str, float] = {
@@ -683,7 +637,7 @@ class ClusterExecutor:
         rest of the round is still running.  A frame doubles as the
         primary liveness signal (it extends the worker's heartbeat
         deadline); the cache probe remains the fallback for workers
-        whose completed cells were flushed but whose frames were lost.
+        whose completed cells were written but whose frames were lost.
         """
         pool = self._ensure_pool()
         faults = {fault.unit: fault for fault in self.faults
@@ -728,8 +682,6 @@ class ClusterExecutor:
                         "cache_root": str(cache.root),
                         "unit_index": unit_index,
                         "unit_count": len(units),
-                        "flush_cells": self.flush_cells,
-                        "pack": self.pack_cache,
                         "fail_after_cells":
                             fault.after_cells if fault else None,
                         "fail_mode": fault.mode if fault else "kill",
@@ -808,17 +760,14 @@ class ClusterExecutor:
                                     float(frame.get("cache_write_s", 0.0)))
                     del live[conn]
                     deadlines.pop(conn, None)
-                    if self.use_pool:
-                        pool.release(handle)
-                    else:
-                        pool.retire(handle)
+                    pool.release(handle)
                 # Heartbeat check.  A worker past its deadline gets one
                 # question: did new cells of its unit land in the shared
                 # cache since the last check?  If yes it is healthy but
                 # slow — extend the deadline.  If no it is alive but
                 # wedged — terminate it and let the rebalancing path
                 # treat it exactly like a crashed machine (cells it
-                # flushed before wedging are recovered for free).
+                # wrote before wedging are recovered for free).
                 now = time.monotonic()  # repro-lint: ignore[D-wallclock] heartbeat deadline check
                 expired = [c for c, deadline in deadlines.items()
                            if deadline <= now and c in live]
@@ -839,8 +788,6 @@ class ClusterExecutor:
             for conn in list(live):
                 _unit_index, handle = live.pop(conn)
                 pool.discard(handle)
-            if not self.use_pool:
-                pool.close()
         return failed_units, dead_pids
 
     # ------------------------------------------------------------------ #

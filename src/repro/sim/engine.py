@@ -223,8 +223,8 @@ class Simulator:
         non-negative delay already guarantees the clock invariant that
         ``schedule_at`` would re-check.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         # float() guards the clock: a numpy scalar delay must not leak
         # into heap keys and eventually self.now (schedule_at coerces too).
         time = float(self.now + delay)
@@ -249,8 +249,8 @@ class Simulator:
         order is exactly what ``schedule(delay, callback, *args)`` would
         have produced.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         time = float(self.now + delay)
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -285,8 +285,8 @@ class Simulator:
         sequence = self._sequence
         members = []
         for delay, callback, args in entries:
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay!r}")
+            if not delay >= 0:  # also rejects NaN
+                raise SimulationError(f"negative or NaN delay {delay!r}")
             members.append((float(now + delay), sequence, callback, args))
             sequence += 1
         if not members:
@@ -322,9 +322,10 @@ class Simulator:
         it surfaces as a ``TypeError`` when the event fires.
         """
         time = float(time)
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {time!r}, which is before now={self.now!r}"
+                f"cannot schedule at {time!r}, which is not at or after "
+                f"now={self.now!r}"
             )
         sequence = self._sequence
         self._sequence = sequence + 1

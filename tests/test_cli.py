@@ -262,6 +262,34 @@ class TestReproCache:
                                str(tmp_path / "no-such-cache")]) == 2
         assert "not an existing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["verify"], ["prune"], ["gc", "--max-size-mb", "1"],
+        ["unpack"]])
+    def test_mistyped_root_is_a_hard_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "cahce"
+        assert cache_cli.main([command[0], str(missing), *command[1:]]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_unpack_migrates_a_segment_root(self, tmp_path, capsys,
+                                            warm_root):
+        root, config = warm_root
+        entry = root / config_key(config)[:2] / f"{config_key(config)}.json"
+        data = entry.read_bytes()
+        entry.unlink()
+        (root / "packs").mkdir()
+        header = json.dumps({"entries": {config_key(config): [0, len(data)]},
+                             "pack_format": 1}) + "\n"
+        (root / "packs" / f"{0:032x}.pack").write_bytes(
+            header.encode("utf-8") + data)
+        assert cache_cli.main(["verify", str(root)]) == 2
+        assert "repro-cache unpack" in capsys.readouterr().err
+        assert cache_cli.main(["unpack", str(root)]) == 0
+        assert "unpacked 1 entr(ies) from 1 segment(s)" \
+            in capsys.readouterr().out
+        assert entry.read_bytes() == data
+        assert cache_cli.main(["verify", str(root)]) == 0
+
     def test_merge_conflict_exits_nonzero(self, tmp_path, capsys, warm_root):
         root, config = warm_root
         other = ResultCache(tmp_path / "other")

@@ -286,6 +286,13 @@ class TestCacheMaintenance:
         assert stats.unreadable == 0
         assert stats.total_bytes > 0
 
+    def test_stats_counts_a_non_object_entry_as_unreadable(self, tmp_path,
+                                                           tiny_result):
+        cache = self.warm_cache(tmp_path, tiny_result, n=2)
+        cache._entry_files()[0].write_text("[1, 2]")
+        stats = cache.stats()
+        assert (stats.entries, stats.unreadable, stats.current) == (2, 1, 1)
+
     def test_verify_flags_corrupt_and_mismatched_entries(self, tmp_path,
                                                          tiny_result):
         cache = self.warm_cache(tmp_path, tiny_result)
@@ -375,118 +382,106 @@ class TestCacheMaintenance:
         assert path_a.read_text() == original + " "  # destination kept
 
 
-class TestPackedCache:
-    """Batched cache I/O: packed segments under ``<root>/packs/``.
+def write_segment(root, entries):
+    """Write a retired packed segment by hand: one JSON header line with
+    the ``key -> [offset, length]`` index, then the entry bytes."""
+    index, offset = {}, 0
+    for key, data in entries:
+        index[key] = [offset, len(data)]
+        offset += len(data)
+    header = json.dumps({"entries": index, "pack_format": 1},
+                        sort_keys=True, separators=(",", ":")) + "\n"
+    packs = root / "packs"
+    packs.mkdir(parents=True, exist_ok=True)
+    path = packs / f"{len(list(packs.glob('*.pack'))):032x}.pack"
+    path.write_bytes(header.encode("utf-8")
+                     + b"".join(data for _key, data in entries))
+    return path
 
-    The PR-10 contract: a packed entry is byte-identical to its loose
-    form and indistinguishable to every reader — same content-addressed
-    key, same version guard, same O(1) probe — while a whole batch lands
-    durably with a single fsync.
+
+class TestSegmentMigration:
+    """The one-way migration off the retired packed-segment layout.
+
+    ``unpack_segments`` (``repro-cache unpack``) turns every segment into
+    byte-identical loose entries; until then ``ResultCache`` refuses the
+    root rather than re-simulating its entries in silence.
     """
 
-    def packed_cache(self, tmp_path, tiny_result, n=3) -> ResultCache:
-        cache = ResultCache(tmp_path / "cache")
-        cache.put_many([(tiny_config(seed=seed), tiny_result)
-                        for seed in range(1, n + 1)], pack=True)
-        return cache
+    @pytest.fixture()
+    def loose_bytes(self, tmp_path, tiny_result):
+        """``key -> entry bytes`` exactly as ``put`` writes them."""
+        source = ResultCache(tmp_path / "source")
+        return {config_key(tiny_config(seed=seed)):
+                source.put(tiny_config(seed=seed), tiny_result).read_bytes()
+                for seed in (1, 2, 3)}
 
-    def test_put_many_packed_round_trip(self, tmp_path, tiny_result):
-        cache = self.packed_cache(tmp_path, tiny_result)
-        assert len(cache) == 3
-        assert cache._entry_files() == []            # nothing loose
-        assert len(cache._pack_files()) == 1         # one segment, one fsync
-        for seed in (1, 2, 3):
-            config = tiny_config(seed=seed)
-            assert config in cache
-            assert cache.has_current(config)
-            assert cache.get(config) == tiny_result
-
-    def test_put_many_loose_matches_put(self, tmp_path, tiny_result):
-        cache = ResultCache(tmp_path / "cache")
-        paths = cache.put_many([(tiny_config(seed=seed), tiny_result)
-                                for seed in (1, 2)])
-        assert paths == [cache.path_for(tiny_config(seed=seed))
-                         for seed in (1, 2)]
-        assert cache._pack_files() == []
-        assert cache.put_many([]) == []
-
-    def test_packed_bytes_identical_to_loose(self, tmp_path, tiny_result):
-        config = tiny_config(seed=1)
-        loose = ResultCache(tmp_path / "loose")
-        path = loose.put(config, tiny_result)
-        packed = ResultCache(tmp_path / "packed")
-        packed.put_many([(config, tiny_result)], pack=True)
-        assert packed._entry_bytes(config_key(config)) == path.read_bytes()
-
-    def test_pack_all_unpack_all_round_trip(self, tmp_path, tiny_result):
-        cache = ResultCache(tmp_path / "cache")
-        for seed in range(1, 4):
-            cache.put(tiny_config(seed=seed), tiny_result)
-        before = {path.name: path.read_bytes()
-                  for path in cache._entry_files()}
-        assert cache.pack_all(batch_size=2) == (2, 3)
-        assert cache._entry_files() == []            # loose files consumed
-        assert len(cache) == 3                       # same logical entries
-        assert cache.get(tiny_config(seed=2)) == tiny_result
-        assert cache.unpack_all() == (2, 3)
-        assert cache._pack_files() == []
-        after = {path.name: path.read_bytes()
-                 for path in cache._entry_files()}
-        assert after == before                       # byte-exact round trip
-
-    def test_corrupt_pack_header_reads_as_miss_and_is_flagged(
-            self, tmp_path, tiny_result):
-        cache = self.packed_cache(tmp_path, tiny_result, n=2)
-        cache._pack_files()[0].write_bytes(b"not a header\ngarbage")
-        assert cache.get(tiny_config(seed=1)) is None
-        assert not cache.has_current(tiny_config(seed=1))
-        problems = cache.verify()
-        assert [p.kind for p in problems] == ["corrupt"]
-        assert "pack header" in problems[0].detail
-
-    def test_corrupt_packed_entry_pruned_by_segment_rewrite(
-            self, tmp_path, tiny_result):
-        cache = self.packed_cache(tmp_path, tiny_result, n=3)
-        pack = cache._pack_files()[0]
-        # Truncate the segment: the last entry's span runs past EOF.
-        pack.write_bytes(pack.read_bytes()[:-20])
-        problems = cache.verify()
-        assert [p.kind for p in problems] == ["corrupt"]
-        assert problems[0].key is not None           # one entry, not the pack
-        report = cache.prune()
-        assert report.corrupt == 1
-        # The segment was rewritten with only its sound entries.
+    def test_unpack_restores_byte_identical_loose_entries(
+            self, tmp_path, tiny_result, loose_bytes):
+        root = tmp_path / "cache"
+        items = sorted(loose_bytes.items())
+        write_segment(root, items[:2])
+        write_segment(root, items[2:])
+        assert exec_cache.unpack_segments(root) == (2, 3, [])
+        assert not (root / "packs").exists()
+        cache = ResultCache(root)
+        assert {path.stem: path.read_bytes()
+                for path in cache._entry_files()} == loose_bytes
+        configs = [tiny_config(seed=seed) for seed in (1, 2, 3)]
+        hits, misses = cache.lookup(configs)
+        assert misses == []
+        assert list(hits.values()) == [tiny_result] * 3
+        assert all(cache.has_current(config) for config in configs)
         assert cache.verify() == []
-        assert len(cache) == 2
-        assert sum(1 for seed in (1, 2, 3)
-                   if cache.get(tiny_config(seed=seed)) == tiny_result) == 2
 
-    def test_stats_and_gc_over_packed_segments(self, tmp_path, tiny_result):
-        cache = self.packed_cache(tmp_path, tiny_result, n=3)
-        cache.put(tiny_config(seed=9), tiny_result)  # one loose entry too
-        stats = cache.stats()
-        assert stats.entries == 4
-        assert stats.current == 4
-        assert (stats.packs, stats.packed_entries) == (1, 3)
-        # GC ages a segment out as one unit (its entries share a batch).
-        pack = cache._pack_files()[0]
-        os.utime(pack, (time.time() - 10 * 86400,) * 2)
-        assert cache.gc(max_age_seconds=86400.0) == [pack]
-        assert len(cache) == 1
+    def test_cache_refuses_a_root_holding_segments(self, tmp_path,
+                                                   loose_bytes):
+        root = tmp_path / "cache"
+        write_segment(root, sorted(loose_bytes.items()))
+        with pytest.raises(ValueError, match="repro-cache unpack"):
+            ResultCache(root)
 
-    def test_merge_from_packed_source(self, tmp_path, tiny_result):
-        source = self.packed_cache(tmp_path, tiny_result, n=2)
+    def test_unpack_leaves_a_corrupt_segment_and_reports_it(self, tmp_path):
+        root = tmp_path / "cache"
+        (root / "packs").mkdir(parents=True)
+        bad = root / "packs" / f"{0:032x}.pack"
+        bad.write_bytes(b"not a header\ngarbage")
+        assert exec_cache.unpack_segments(root) == (0, 0, [bad])
+        assert bad.exists()                          # never deleted silently
+        with pytest.raises(ValueError, match="unpack"):
+            ResultCache(root)
+
+    def test_unpack_drops_a_truncated_entry(self, tmp_path, loose_bytes):
+        root = tmp_path / "cache"
+        items = sorted(loose_bytes.items())
+        segment = write_segment(root, items)
+        # Truncate the segment: the last entry's span runs past EOF.
+        segment.write_bytes(segment.read_bytes()[:-20])
+        # An existing loose entry wins over its packed duplicate.
+        kept = root / items[0][0][:2] / f"{items[0][0]}.json"
+        kept.parent.mkdir(parents=True)
+        kept.write_bytes(b"newer")
+        assert exec_cache.unpack_segments(root) == (1, 1, [])
+        cache = ResultCache(root)
+        assert {path.stem: path.read_bytes()
+                for path in cache._entry_files()} \
+            == {items[0][0]: b"newer", items[1][0]: items[1][1]}
+
+    def test_merge_from_segment_source_names_unpack(self, tmp_path,
+                                                    loose_bytes):
+        source = tmp_path / "source-packed"
+        write_segment(source, sorted(loose_bytes.items()))
         dest = ResultCache(tmp_path / "dest")
-        dest.put(tiny_config(seed=1), tiny_result)   # same logical entry
-        stats = dest.merge_from(source)
-        assert (stats.copied, stats.identical, stats.conflicts) == (1, 1, 0)
-        assert dest.get(tiny_config(seed=2)) == tiny_result
+        with pytest.raises(ValueError, match="repro-cache unpack"):
+            dest.merge_from(source)
+        assert len(dest) == 0
 
-    def test_clear_removes_packed_entries(self, tmp_path, tiny_result):
-        cache = self.packed_cache(tmp_path, tiny_result, n=3)
-        cache.put(tiny_config(seed=9), tiny_result)
-        assert cache.clear() == 4
-        assert len(cache) == 0
+    def test_stats_packed_fields_stay_zero(self, tmp_path, loose_bytes):
+        root = tmp_path / "cache"
+        write_segment(root, sorted(loose_bytes.items()))
+        exec_cache.unpack_segments(root)
+        stats = ResultCache(root).stats()
+        assert (stats.entries, stats.current) == (3, 3)
+        assert (stats.packs, stats.packed_entries) == (0, 0)
 
 
 class TestHasCurrentProbe:
@@ -544,7 +539,8 @@ class TestHasCurrentProbe:
         monkeypatch.setattr(exec_cache, "__version__", "9.9.9")
         assert not cache.has_current(config)
 
-    def test_probe_accepts_legacy_entry_layout(self, tmp_path, tiny_result):
+    def test_pre_header_entry_is_a_miss_everywhere(self, tmp_path,
+                                                   tiny_result):
         cache = ResultCache(tmp_path)
         config = tiny_config()
         path = cache.put(config, tiny_result)
@@ -552,11 +548,17 @@ class TestHasCurrentProbe:
         legacy = {field: payload[field]
                   for field in ("version", "repro_version", "key",
                                 "config", "result")}
-        # Pre-header entries are a plain sorted-key dump; the probe must
-        # fall back to the full check rather than miss on them.
+        # Entries written before the header layout are a plain sorted-key
+        # dump.  get() and has_current() must agree they are misses, or
+        # campaign status would count cells that run re-simulates.
         path.write_text(json.dumps(legacy, sort_keys=True))
-        assert cache.has_current(config)
-        assert cache.get(config) == tiny_result
+        assert not cache.has_current(config)
+        assert cache.get(config) is None
+        assert [(p.kind, p.detail) for p in cache.verify()] \
+            == [("stale", "written before the entry-header layout")]
+        stats = cache.stats()
+        assert stats.current == 0
+        assert stats.by_version == {f"{__version__} (pre-header)": 1}
 
     def test_probe_rejects_stale_legacy_entry(self, tmp_path, tiny_result):
         cache = ResultCache(tmp_path)

@@ -225,6 +225,22 @@ class TestScheduledSweep:
         assert scheduler.cells_from_cache + scheduler.cells_streamed \
             == len(settings.grid())
 
+    def test_kill_after_n_cells_leaves_exactly_n_loose_entries(
+            self, tmp_path):
+        """Each cell is written before its frame is sent, so a worker
+        killed after N cells has left exactly N loose cache entries."""
+        settings = tiny_settings()
+        cache = ResultCache(tmp_path / "cache")
+        scheduler = ClusterExecutor(
+            shards=1, max_retries=0, cache=cache,
+            faults=[FaultInjection(unit=0, after_cells=3)])
+        with pytest.raises(SchedulerError):
+            scheduler.run_sweep(settings)
+        assert scheduler.cells_streamed == 2
+        assert len(cache._entry_files()) == 3
+        assert not (cache.root / "packs").exists()
+        assert cache.temp_files() == []
+
     def test_hung_worker_is_timed_out_and_rebalanced_bit_for_bit(
             self, tmp_path):
         """The PR-5 heartbeat criterion: a worker that wedges (alive, no
@@ -389,19 +405,6 @@ class TestWorkerPool:
         assert sha256(merged) == sha256(tiny_serial)
         assert scheduler.workers_spawned >= 1
         assert scheduler.cells_from_cache >= len(units)
-
-    def test_no_pool_mode_is_byte_identical_and_never_reuses(self, tmp_path,
-                                                             tiny_serial):
-        """--no-pool keeps the relaunch-per-round A/B reference path."""
-        settings = tiny_settings()
-        scheduler = ClusterExecutor(shards=2, cache=tmp_path / "cache",
-                                    use_pool=False)
-        merged = scheduler.run_sweep(settings)
-        assert sha256(merged) == sha256(tiny_serial)
-        assert scheduler.workers_spawned == 2
-        assert scheduler.workers_reused == 0
-        # Every worker was retired after its round; nothing stays warm.
-        assert len(scheduler._pool or []) == 0
 
 
 def test_streaming_merge_is_byte_identical_to_whole_shard_merge(tiny_serial):

@@ -121,6 +121,39 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
+def test_nan_delay_rejected_by_schedule():
+    """A NaN delay slips past ``delay < 0``; it must not reach the heap,
+    where it breaks the time order and leaves the clock at NaN."""
+    sim = Simulator(seed=1)
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_nan_delay_rejected_by_schedule_fire():
+    sim = Simulator(seed=1)
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule_fire(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_nan_delay_rejected_by_schedule_fire_many():
+    sim = Simulator(seed=1)
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule_fire_many([(0.1, lambda: None, ()),
+                                (float("nan"), lambda: None, ())])
+    assert sim.pending_events == 0
+
+
+def test_nan_time_rejected_by_schedule_at():
+    sim = Simulator(seed=1)
+    with pytest.raises(SimulationError, match="nan"):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.now == 0.0
+
+
 def test_scheduling_in_the_past_rejected():
     sim = Simulator(seed=1)
     sim.schedule(1.0, lambda: None)
