@@ -20,7 +20,7 @@ from repro.exec import (
     ClusterExecutor, Executor, ResultCache, assemble_sweep_result,
     resolve_executor,
 )
-from repro.experiments.figures import FIGURES, format_figure, render_figures
+from repro.experiments.figures import FIGURES, format_figure
 from repro.experiments.sweep import SweepResult
 from repro.experiments.table1 import table1_from_sweep
 
@@ -249,13 +249,17 @@ def publish_campaign(spec: CampaignSpec, sweeps: Dict[str, SweepResult],
     entries_doc: Dict[str, object] = {}
     for entry, settings in spec.expand():
         sweep = sweeps[entry.name]
-        figures = {figure_id: store.put_text(format_figure(sweep, figure_id))
-                   for figure_id in sorted(FIGURES)}
+        # Each figure is formatted once; joined in id order they are
+        # exactly render_figures(sweep).
+        texts = {figure_id: format_figure(sweep, figure_id)
+                 for figure_id in sorted(FIGURES)}
+        figures = {figure_id: store.put_text(text)
+                   for figure_id, text in texts.items()}
         table1_text = table1_from_sweep(sweep)
         entries_doc[entry.name] = {
             "sweep": store.put_text(sweep.to_json()),
             "figures": figures,
-            "figures_all": store.put_text(render_figures(sweep)),
+            "figures_all": store.put_text("\n\n".join(texts.values())),
             "table1": (None if table1_text is None
                        else store.put_text(table1_text)),
             "cells": len(settings.grid()),

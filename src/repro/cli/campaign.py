@@ -50,7 +50,7 @@ from repro.exec import (
     ResultCache,
     StaleArtifactError,
     add_executor_options,
-    executor_from_args,
+    build_executor,
 )
 from repro.experiments import FIGURES
 
@@ -73,6 +73,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("error: campaign runs need --cache (resumability lives in "
               "the result cache)", file=sys.stderr)
         return 2
+    try:
+        cache = ResultCache(args.cache)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.scheduler is not None and args.stop_after_cells is not None:
         print("error: --stop-after-cells requires the serial/parallel "
               "path (omit --scheduler): scheduled cells complete in "
@@ -83,11 +88,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     scheduler = None
     try:
         if args.scheduler is not None:
-            scheduler = ClusterExecutor(shards=args.scheduler,
-                                        cache=args.cache)
+            scheduler = ClusterExecutor(shards=args.scheduler, cache=cache)
             report = run_campaign(spec, store=store, scheduler=scheduler)
         else:
-            executor = executor_from_args(args)
+            executor = build_executor(args.workers, cache)
             report = run_campaign(spec, executor=executor, store=store,
                                   stop_after_cells=args.stop_after_cells)
     except CampaignInterrupted as exc:
@@ -118,10 +122,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     try:
         spec = _load_spec(args.manifest)
+        cache = ResultCache(args.cache)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    status = campaign_status(spec, ResultCache(args.cache))
+    status = campaign_status(spec, cache)
     if args.json:
         print(json.dumps({
             "campaign": spec.name,

@@ -61,11 +61,12 @@ from typing import List, Optional
 from repro.exec import (
     ClusterExecutor,
     FaultInjection,
+    ResultCache,
     StaleArtifactError,
     SweepShard,
     ShardSpec,
     add_executor_options,
-    executor_from_args,
+    build_executor,
     merge_shard_results,
     plan_shards,
     run_sweep_shard,
@@ -201,8 +202,8 @@ def cmd_list_profiles() -> int:
     return 0
 
 
-def cmd_run_scheduler(args: argparse.Namespace,
-                      settings: SweepSettings) -> int:
+def cmd_run_scheduler(args: argparse.Namespace, settings: SweepSettings,
+                      cache: Optional[ResultCache]) -> int:
     total = len(settings.grid())
     try:
         faults = [FaultInjection.parse(text)
@@ -215,7 +216,7 @@ def cmd_run_scheduler(args: argparse.Namespace,
     max_retries = 2 if args.max_retries is None else args.max_retries
     scheduler = ClusterExecutor(shards=args.scheduler,
                                 max_retries=max_retries,
-                                cache=args.cache, faults=faults,
+                                cache=cache, faults=faults,
                                 worker_timeout=args.worker_timeout)
     print(f"scheduler: {total} grid cell(s) across up to "
           f"{args.scheduler} worker shard(s)")
@@ -260,6 +261,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return cmd_list_profiles()
     try:
         settings = _load_settings(args)
+        # Opened up front so a root ResultCache refuses (a file, or one
+        # still holding packed segments) exits 2 with its message.
+        cache = None if args.cache is None else ResultCache(args.cache)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -274,7 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("--inject-hang requires --worker-timeout",
                   file=sys.stderr)
             return 2
-        return cmd_run_scheduler(args, settings)
+        return cmd_run_scheduler(args, settings, cache)
     if (args.inject_fault or args.inject_hang
             or args.max_retries is not None
             or args.worker_timeout is not None):
@@ -284,7 +288,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               "require --scheduler", file=sys.stderr)
         return 2
     shard = ShardSpec.parse(args.shard)
-    executor = executor_from_args(args)
+    executor = build_executor(args.workers, cache)
     plan = plan_shards(settings, shard.count)
     planned = len(plan[shard.index])
     print(f"shard {shard}: {planned} of {len(settings.grid())} grid "

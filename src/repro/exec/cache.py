@@ -191,7 +191,16 @@ def config_key(config: ScenarioConfig) -> str:
     logging, so traced and untraced runs of the same scenario share a
     cache entry.
     """
-    payload = config.to_dict()
+    return _key_of(config.to_dict())
+
+
+def _key_of(config_dict: Dict[str, object]) -> str:
+    """:func:`config_key` of the config whose ``to_dict()`` is given.
+
+    :meth:`ResultCache.put` hashes the very dict it stores as the entry's
+    ``config``, so the key and the body can never disagree.
+    """
+    payload = dict(config_dict)
     payload.pop("trace", None)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -365,12 +374,13 @@ class ResultCache:
         :func:`_entry_header` guard prefix (format version, key, repro
         version), followed by the sorted-key body.
         """
-        key = config_key(config)
+        config_dict = config.to_dict()
+        key = _key_of(config_dict)
         body = json.dumps({
             "version": CACHE_FORMAT_VERSION,
             "repro_version": __version__,
             "key": key,
-            "config": config.to_dict(),
+            "config": config_dict,
             "result": result.to_dict(),
         }, sort_keys=True)
         path = self._entry_path(key)

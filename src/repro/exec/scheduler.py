@@ -493,7 +493,8 @@ class ClusterExecutor:
         self.workers_timed_out = 0
         #: Scheduling rounds that dispatched at least one worker.
         self.rounds = 0
-        #: Orphaned cache temp files removed after failed rounds.
+        #: Orphaned cache temp files removed: a dead worker's after its
+        #: failed round, hour-old strays after any run that ran a round.
         self.temp_files_swept = 0
         #: Per-stage wall time for the current run (seconds).
         self.stage_seconds: Dict[str, float] = {
@@ -600,7 +601,10 @@ class ClusterExecutor:
                                                              dead_pids)
             pending = [index for index in pending if index not in merger]
             round_no += 1
-        self.temp_files_swept += self._sweep_orphans(cache, ())
+        if self.rounds:
+            # Only a sweep that wrote can have left strays behind; a fully
+            # cached replay skips the glob over every shard directory.
+            self.temp_files_swept += self._sweep_orphans(cache, ())
         return merger.result()
 
     @staticmethod

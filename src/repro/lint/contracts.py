@@ -174,16 +174,29 @@ def _module_constant(path: Path, name: str) -> Any:
 
 
 def _key_excludes(cache_path: Path) -> List[str]:
-    """Fields ``config_key`` pops from the payload before hashing."""
+    """Fields ``config_key`` pops from the payload before hashing.
+
+    Pops in the module-level functions ``config_key`` calls (directly or
+    through one another) count too, so hashing can live in a helper
+    that ``config_key`` shares with the cache writer.
+    """
     tree = _parse_file(cache_path)
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
     excludes: List[str] = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name == "config_key"):
+    pending = ["config_key"]
+    seen: Set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name in seen or name not in functions:
             continue
-        for inner in ast.walk(node):
-            if (isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Attribute)
+        seen.add(name)
+        for inner in ast.walk(functions[name]):
+            if not isinstance(inner, ast.Call):
+                continue
+            if isinstance(inner.func, ast.Name):
+                pending.append(inner.func.id)
+            elif (isinstance(inner.func, ast.Attribute)
                     and inner.func.attr == "pop" and inner.args
                     and isinstance(inner.args[0], ast.Constant)
                     and isinstance(inner.args[0].value, str)):

@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.registry import (
     APPLICATION, MOBILITY, PROPAGATION, ROUTING, TRANSPORT,
 )
+from repro.scenario.results import _plain
 
 
 def __getattr__(name: str):
@@ -243,8 +244,16 @@ class ScenarioConfig:
 
         Tuples are normalised to lists so the output is identical whether
         it is inspected directly or round-tripped through JSON.
+
+        Each field is copied by :func:`~repro.scenario.results._plain`:
+        nested ``*_params`` containers are rebuilt, so mutating the output
+        never reaches the config, and the dict equals what
+        :func:`dataclasses.asdict` gives.  ``asdict`` is not used because
+        its generic ``deepcopy`` walk was most of the cost of computing
+        a cache key.
         """
-        data = dataclasses.asdict(self)
+        data = {field.name: _plain(getattr(self, field.name))
+                for field in dataclasses.fields(self)}
         data["field_size"] = list(self.field_size)
         if self.flows is not None:
             data["flows"] = [list(flow) for flow in self.flows]

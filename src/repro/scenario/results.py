@@ -8,6 +8,7 @@ matching the paper's "each simulation is repeated 5 times" methodology.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -28,6 +29,30 @@ AGGREGATED_FIELDS = (
     "packets_eavesdropped",
     "packets_received",
 )
+
+_ATOM_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain(value: object) -> object:
+    """A fresh JSON-shaped copy of one record field value.
+
+    Atoms (``str``, ``int``, ``float``, ``bool``, ``None``) are immutable
+    and come back as-is; ``dict``, ``list`` and ``tuple`` are rebuilt
+    recursively with the same container types; anything else falls back
+    to :func:`copy.deepcopy`.  For every type the result records hold,
+    this equals what :func:`dataclasses.asdict` produces for the field,
+    without ``asdict``'s per-value ``deepcopy`` dispatch.
+    """
+    kind = type(value)
+    if kind in _ATOM_TYPES:
+        return value
+    if kind is dict:
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    if kind is list:
+        return [_plain(item) for item in value]
+    if kind is tuple:
+        return tuple(_plain(item) for item in value)
+    return copy.deepcopy(value)
 
 
 @dataclasses.dataclass
@@ -94,8 +119,15 @@ class ScenarioResult:
         and tuples become lists; :meth:`from_dict` reverses both, so
         ``ScenarioResult.from_json(r.to_json()) == r`` holds exactly —
         Python's JSON float round-trip is lossless.
+
+        Every field goes through :func:`_plain`, so the output shares no
+        mutable container with the record (the guarantee
+        :func:`dataclasses.asdict` gives) and equals ``asdict``'s output;
+        ``asdict`` itself is not used because its generic ``deepcopy``
+        walk dominated the cost of publishing and replaying sweeps.
         """
-        data = dataclasses.asdict(self)
+        data = {field.name: _plain(getattr(self, field.name))
+                for field in dataclasses.fields(self)}
         data["flows"] = [list(flow) for flow in self.flows]
         data["relay_counts"] = {str(node): int(count)
                                 for node, count in self.relay_counts.items()}
@@ -149,8 +181,9 @@ class AggregateResult:
     # serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
-        """JSON-compatible dictionary of every field."""
-        return dataclasses.asdict(self)
+        """JSON-compatible dictionary of every field (see :func:`_plain`)."""
+        return {field.name: _plain(getattr(self, field.name))
+                for field in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "AggregateResult":

@@ -217,6 +217,16 @@ class TestCampaignRun:
         current = campaign_env.store.index_bytes(campaign_env.spec.name)
         assert current == campaign_env.index_after_resume
 
+    def test_published_figures_equal_render_figures(self, campaign_env):
+        sweep = campaign_env.replay.sweeps["smoke"]
+        store = campaign_env.store
+        record = store.get_index("demo")["entries"]["smoke"]
+        assert store.get_text(record["figures_all"]) == render_figures(sweep)
+        assert sorted(record["figures"]) == sorted(FIGURES)
+        for figure_id, digest in record["figures"].items():
+            assert store.get_text(digest) == \
+                render_figures(sweep, [figure_id])
+
     def test_run_without_cache_is_refused(self):
         with pytest.raises(ValueError, match="needs a cache"):
             run_campaign(tiny_spec())
@@ -440,6 +450,19 @@ class TestCampaignCli:
         rc = campaign_cli.main(["run", str(manifest)])
         assert rc == 2
         assert "--cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["status"]])
+    def test_segment_root_is_exit_2_naming_unpack(self, tmp_path, capsys,
+                                                  command):
+        manifest = tmp_path / "manifest.json"
+        tiny_spec().save(manifest)
+        cache = tmp_path / "cache"
+        (cache / "packs").mkdir(parents=True)
+        (cache / "packs" / "a.pack").write_text("{}\n")
+        rc = campaign_cli.main([command[0], str(manifest),
+                                "--cache", str(cache)])
+        assert rc == 2
+        assert "repro-cache unpack" in capsys.readouterr().err
 
     def test_bad_manifest_is_exit_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -215,6 +215,16 @@ class TestReproSweep:
                                "--inject-fault", "0:1"]) == 2
         assert "require --scheduler" in capsys.readouterr().err
 
+    def test_scheduler_on_a_segment_root_is_exit_2_naming_unpack(
+            self, tmp_path, capsys, settings_file):
+        cache = tmp_path / "cache"
+        (cache / "packs").mkdir(parents=True)
+        (cache / "packs" / "a.pack").write_text("{}\n")
+        assert sweep_cli.main(["run", "--settings-json", str(settings_file),
+                               "--scheduler", "2", "--cache", str(cache),
+                               "--quiet"]) == 2
+        assert "repro-cache unpack" in capsys.readouterr().err
+
 
 class TestReproCache:
     @pytest.fixture()

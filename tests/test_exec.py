@@ -10,8 +10,11 @@ The two properties the subsystem promises:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
+import random
 import time
 
 import pytest
@@ -27,7 +30,12 @@ from repro.exec import (
     config_key,
     resolve_executor,
 )
-from repro.experiments.sweep import SweepResult, SweepSettings, run_speed_sweep
+from repro.experiments.sweep import (
+    SWEEP_PROFILES,
+    SweepResult,
+    SweepSettings,
+    run_speed_sweep,
+)
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.results import (
     AggregateResult,
@@ -116,6 +124,151 @@ class TestSerialization:
         assert config_key(a) == config_key(b)
 
 
+# ---------------------------------------------------------------------- #
+# dataclasses.asdict-based references: the serializers must equal these.
+# ---------------------------------------------------------------------- #
+def asdict_config(config: ScenarioConfig) -> dict:
+    data = dataclasses.asdict(config)
+    data["field_size"] = list(config.field_size)
+    if config.flows is not None:
+        data["flows"] = [list(flow) for flow in config.flows]
+    if config.static_positions is not None:
+        data["static_positions"] = [list(p) for p in config.static_positions]
+    return data
+
+
+def asdict_result(result: ScenarioResult) -> dict:
+    data = dataclasses.asdict(result)
+    data["flows"] = [list(flow) for flow in result.flows]
+    data["relay_counts"] = {str(node): int(count)
+                            for node, count in result.relay_counts.items()}
+    return data
+
+
+def shape(value):
+    """``value`` with every container replaced by (type, children)."""
+    if isinstance(value, dict):
+        return (dict, {key: shape(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return (type(value), [shape(item) for item in value])
+    return (type(value), value)
+
+
+def assert_same_as_reference(serialized: dict, reference: dict) -> None:
+    assert serialized == reference
+    assert shape(serialized) == shape(reference)
+    assert json.dumps(serialized, sort_keys=True) == \
+        json.dumps(reference, sort_keys=True)
+
+
+def mutate_every_container(value) -> int:
+    """Grow every dict and list reachable from ``value``; returns how many."""
+    mutated = 0
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            mutated += mutate_every_container(item)
+        value["mutated"] = True
+        mutated += 1
+    elif isinstance(value, list):
+        for item in list(value):
+            mutated += mutate_every_container(item)
+        value.append("mutated")
+        mutated += 1
+    elif isinstance(value, tuple):
+        for item in value:
+            mutated += mutate_every_container(item)
+    return mutated
+
+
+def random_nested(rng: random.Random, depth: int = 0):
+    """A random JSON-shaped value nesting lists, tuples and dicts."""
+    kind = rng.randrange(7 if depth < 3 else 4)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return rng.uniform(-1e3, 1e3)
+    if kind == 2:
+        return rng.choice(["a", "bc", ""])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    items = [random_nested(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {f"k{index}": item for index, item in enumerate(items)}
+
+
+def random_config(rng: random.Random) -> ScenarioConfig:
+    """A seeded config whose ``*_params`` hold nested containers.
+
+    The params are assigned after construction: no registered component
+    takes nested parameters, and the serializers must copy whatever a
+    record holds.
+    """
+    n_nodes = rng.randint(4, 12)
+    static = rng.random() < 0.5
+    config = ScenarioConfig(
+        protocol=rng.choice(["MTS", "DSR", "AODV"]), n_nodes=n_nodes,
+        field_size=(rng.uniform(100, 900), rng.uniform(100, 900)),
+        max_speed=rng.uniform(0.5, 20.0), seed=rng.randint(1, 10**6),
+        mobility_model="static" if static else "random_waypoint",
+        static_positions=([(rng.uniform(0, 500), rng.uniform(0, 500))
+                           for _ in range(n_nodes)] if static else None),
+        flows=[(0, n_nodes - 1)] if rng.random() < 0.5 else None,
+        trace=rng.random() < 0.3)
+    for name in ("propagation_params", "mobility_params", "routing_params",
+                 "transport_params", "app_params"):
+        params = {f"p{index}": random_nested(rng)
+                  for index in range(rng.randrange(4))}
+        params["nest"] = [(1, {"x": [2.5, (3, "y")]}), {"z": ()}, []]
+        setattr(config, name, params)
+    return config
+
+
+class TestFieldSerializers:
+    """``to_dict`` equals the ``dataclasses.asdict`` form, byte for byte,
+    and shares no mutable container with the record."""
+
+    def test_every_profile_cell_config(self):
+        configs = [config for factory in SWEEP_PROFILES.values()
+                   for config in factory().cell_configs()]
+        assert configs
+        for config in configs:
+            assert_same_as_reference(config.to_dict(), asdict_config(config))
+
+    def test_random_configs_with_nested_params(self):
+        rng = random.Random(2024)
+        for _ in range(50):
+            config = random_config(rng)
+            assert_same_as_reference(config.to_dict(), asdict_config(config))
+
+    def test_sweep_results_and_aggregates(self, smoke_serial):
+        for key, runs in smoke_serial.runs.items():
+            for run in runs:
+                assert_same_as_reference(run.to_dict(), asdict_result(run))
+            aggregate = smoke_serial.aggregates[key]
+            assert_same_as_reference(aggregate.to_dict(),
+                                     dataclasses.asdict(aggregate))
+
+    def test_config_output_shares_nothing_with_the_record(self):
+        config = random_config(random.Random(7))
+        before = copy.deepcopy(config)
+        assert mutate_every_container(config.to_dict()) > 10
+        assert config == before
+        assert config.to_dict() == asdict_config(before)
+
+    def test_result_output_shares_nothing_with_the_record(self,
+                                                          smoke_serial):
+        run = next(iter(smoke_serial.runs.values()))[0]
+        aggregate = next(iter(smoke_serial.aggregates.values()))
+        assert run.sender_stats and run.control_by_kind
+        for record in (run, aggregate):
+            before = copy.deepcopy(record)
+            assert mutate_every_container(record.to_dict()) > 2
+            assert record == before
+
+
 class TestExecutors:
     def test_serial_executor_matches_direct_runs(self):
         configs = [tiny_config(seed=1), tiny_config(seed=2)]
@@ -194,6 +347,16 @@ class TestResultCache:
         assert cache.get(config) == tiny_result
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
+
+    def test_put_path_stem_is_the_config_key(self, tmp_path, tiny_result):
+        cache = ResultCache(tmp_path)
+        for config in (tiny_config(), tiny_config(trace=True),
+                       random_config(random.Random(3))):
+            path = cache.put(config, tiny_result)
+            assert path.stem == config_key(config)
+            body = json.loads(path.read_text(encoding="utf-8"))
+            assert body["key"] == path.stem
+            assert body["config"] == json.loads(json.dumps(config.to_dict()))
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, tiny_result):
         cache = ResultCache(tmp_path)

@@ -307,6 +307,20 @@ class TestCacheSchema:
         report = lint_paths([root.parent], schema_path=schema)
         assert "C-schema-drift" in rules_of(report.findings)
 
+    def test_key_excludes_follow_config_key_calls_only(self, tmp_path):
+        # The "trace" pop lives in a helper config_key calls; a pop in a
+        # function config_key never reaches does not count.
+        assert compute_cache_schema(PACKAGE_ROOT)["key_excludes"] == \
+            ["trace"]
+        root, schema = copy_tree_with_schema(tmp_path)
+        cache = root / "exec" / "cache.py"
+        cache.write_text(cache.read_text() + (
+            "\n\ndef _unrelated(payload):\n"
+            "    payload.pop(\"seed\", None)\n"))
+        assert compute_cache_schema(root)["key_excludes"] == ["trace"]
+        report = lint_paths([root.parent], schema_path=schema)
+        assert "C-schema-drift" not in rules_of(report.findings)
+
     def test_version_bump_makes_snapshot_stale_not_drift(self, tmp_path):
         root, schema = copy_tree_with_schema(tmp_path)
         version = root / "version.py"

@@ -325,6 +325,27 @@ class TestScheduledSweep:
         assert cache.temp_files() == [fresh]
         assert scheduler.temp_files_swept == 2
 
+    def test_cached_replay_leaves_strays_for_the_next_write_or_prune(
+            self, tmp_path, tiny_serial):
+        """A replay that runs no round writes nothing, so it does not
+        glob the cache for strays; ``prune`` still removes them."""
+        settings = tiny_settings()
+        cache = ResultCache(tmp_path / "cache")
+        with ClusterExecutor(shards=2, cache=cache) as scheduler:
+            scheduler.run_sweep(settings)
+            (cache.root / "ab").mkdir(exist_ok=True)
+            stray = cache.root / "ab" / f".{'ab' + 62 * '0'}.4242.tmp"
+            stray.write_text("{")
+            long_ago = time.time() - 7200.0
+            os.utime(stray, (long_ago, long_ago))
+            replay = scheduler.run_sweep(settings)
+            assert sha256(replay) == sha256(tiny_serial)
+            assert scheduler.rounds == 0
+            assert scheduler.temp_files_swept == 0
+        assert cache.temp_files() == [stray]
+        assert cache.prune().temp_files == 1
+        assert cache.temp_files() == []
+
 
 class TestWorkerPool:
     """PR-10 pool criteria: spawn once, stay warm across rounds *and*
