@@ -17,8 +17,8 @@ preserves the protocol ordering.
 
 The shared sweep also honours the execution-subsystem knobs:
 
-* ``REPRO_BENCH_WORKERS=N`` — run the sweep on a
-  :class:`~repro.exec.ParallelExecutor` with N worker processes
+* ``REPRO_BENCH_WORKERS=N`` — run the sweep on the pooled
+  :class:`~repro.exec.ClusterExecutor` with N worker processes
   (results are bit-for-bit identical to the serial run).
 * ``REPRO_BENCH_CACHE=DIR`` — reuse an on-disk result cache, so repeated
   benchmark sessions only simulate cells that changed.
@@ -79,7 +79,8 @@ def sweep_executor():
 @pytest.fixture(scope="session")
 def figure_sweep():
     """The shared (protocol × speed) sweep all shape checks read from."""
-    return run_speed_sweep(sweep_settings(), executor=sweep_executor())
+    with sweep_executor() as executor:
+        return run_speed_sweep(sweep_settings(), executor=executor)
 
 
 def series_mean(series, protocol):

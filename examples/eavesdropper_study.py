@@ -72,7 +72,8 @@ def main() -> None:
               f"{result.participating_nodes:>10} "
               f"{result.relay_std:>10.4f}", flush=True)
 
-    results = executor.run(configs, progress=print_row)
+    with executor:
+        results = executor.run(configs, progress=print_row)
     summary = {protocol: [] for protocol in protocols}
     for (seed, protocol), result in zip(grid, results):
         summary[protocol].append(result)

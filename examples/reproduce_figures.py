@@ -44,7 +44,6 @@ from repro.cli.sweep import add_propagation_options, apply_propagation_overrides
 from repro.exec import (
     ClusterExecutor,
     add_executor_options,
-    build_executor,
     executor_from_args,
 )
 from repro.experiments import (
@@ -130,13 +129,10 @@ def main() -> None:
                                   args.propagation_params)
     except ValueError as exc:
         parser.error(str(exc))
-    scheduler = None
     if args.scheduler is not None:
-        scheduler = ClusterExecutor(
+        executor = ClusterExecutor(
             shards=args.scheduler, cache=args.cache,
             max_retries=2 if args.max_retries is None else args.max_retries)
-        # Table I still runs through an ordinary executor (same cache).
-        executor = build_executor(1, args.cache)
     else:
         executor = executor_from_args(args)
     total_runs = (len(settings.protocols) * len(settings.speeds)
@@ -158,43 +154,42 @@ def main() -> None:
               f"delay={result.mean_delay * 1000:6.1f} ms "
               f"({elapsed:6.1f} s elapsed)", flush=True)
 
-    if scheduler is not None:
-        sweep = scheduler.run_sweep(settings, progress=progress)
-        print(f"\nscheduler: {scheduler.cells_from_cache} cell(s) from "
-              f"cache, {scheduler.cells_streamed} streamed from "
-              f"{scheduler.workers_launched} worker(s); "
-              f"{scheduler.worker_failures} worker failure(s)")
-    else:
+    with executor:
         sweep = run_speed_sweep(settings, progress=progress,
                                 executor=executor)
-        if executor.cache is not None:
+        if args.scheduler is not None:
+            print(f"\nscheduler: {executor.cells_from_cache} cell(s) from "
+                  f"cache, {executor.cells_streamed} streamed from "
+                  f"{executor.workers_launched} worker(s); "
+                  f"{executor.worker_failures} worker failure(s)")
+        elif executor.cache is not None:
             print(f"\ncache: {executor.cache.hits} hit(s), "
                   f"{executor.simulations_run} simulation(s) executed, "
                   f"{len(executor.cache)} entr(ies) in "
                   f"{executor.cache.root}")
-    if args.save_json:
-        sweep.save(args.save_json)
-        print(f"sweep written to {args.save_json}")
+        if args.save_json:
+            sweep.save(args.save_json)
+            print(f"sweep written to {args.save_json}")
 
-    print("\n" + "=" * 72)
-    for figure_id in sorted(FIGURES):
-        print()
-        print(format_figure(sweep, figure_id))
-
-    if not args.skip_table1:
         print("\n" + "=" * 72)
-        table_config = ScenarioConfig(
-            protocol="DSR",
-            n_nodes=settings.config_overrides.get("n_nodes", 50),
-            field_size=settings.config_overrides.get("field_size",
-                                                     (1000.0, 1000.0)),
-            max_speed=10.0,
-            sim_time=settings.config_overrides.get("sim_time", 30.0),
-            seed=5,
-        )
-        normalization, _ = run_table1(table_config, executor=executor)
-        print()
-        print(format_table1(normalization))
+        for figure_id in sorted(FIGURES):
+            print()
+            print(format_figure(sweep, figure_id))
+
+        if not args.skip_table1:
+            print("\n" + "=" * 72)
+            table_config = ScenarioConfig(
+                protocol="DSR",
+                n_nodes=settings.config_overrides.get("n_nodes", 50),
+                field_size=settings.config_overrides.get("field_size",
+                                                         (1000.0, 1000.0)),
+                max_speed=10.0,
+                sim_time=settings.config_overrides.get("sim_time", 30.0),
+                seed=5,
+            )
+            normalization, _ = run_table1(table_config, executor=executor)
+            print()
+            print(format_table1(normalization))
 
     print(f"\nTotal wall-clock time: {time.time() - started:.1f} s")
     return 0

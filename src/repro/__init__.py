@@ -13,8 +13,8 @@ The package contains two layers:
   (:mod:`repro.security`), the paper's metrics (:mod:`repro.metrics`),
   and the experiment harness (:mod:`repro.scenario`,
   :mod:`repro.experiments`) with its execution subsystem
-  (:mod:`repro.exec` — serial/parallel executors plus an on-disk
-  result cache).
+  (:mod:`repro.exec` — serial and pooled parallel executors plus an
+  on-disk result cache).
 
 Quickstart
 ----------
@@ -40,7 +40,6 @@ _EXPORTS = {
     "run_replications": "repro.scenario.runner",
     "Executor": "repro.exec.executor",
     "SerialExecutor": "repro.exec.executor",
-    "ParallelExecutor": "repro.exec.executor",
     "ResultCache": "repro.exec.cache",
 }
 

@@ -5,7 +5,10 @@
 rerun resume instead of recompute) and the
 :class:`~repro.campaign.store.ArtifactStore` (rendered deliverables; what
 ``repro-serve`` reads).  The runner itself keeps no state files, so
-killing it at any point loses at most the in-flight cell.
+killing it at any point loses at most the in-flight cell.  Every entry
+runs through one :class:`~repro.exec.executor.Executor` — serial, or the
+pooled :class:`~repro.exec.scheduler.ClusterExecutor` whose warm
+workers then serve the whole campaign.
 """
 
 from __future__ import annotations
@@ -134,23 +137,24 @@ def run_campaign(spec: CampaignSpec,
     stop_after_cells:
         Deterministic kill switch for resume testing: raise
         :class:`CampaignInterrupted` once this many *new* simulations
-        have completed (each durably cached first).  Not supported on
-        the scheduler path (cells complete in parallel worker
-        processes, so a serial "after N" point does not exist).
+        have completed (each durably cached first).  The cells before
+        the stop run one at a time through :meth:`Executor.run_one
+        <repro.exec.executor.Executor.run_one>`, on any executor.
     scheduler:
-        A :class:`~repro.exec.ClusterExecutor` to run every entry
-        through instead of a cell-at-a-time executor.  Its persistent
-        worker pool is reused across all entries (spawn once, run the
-        whole campaign warm); the caller keeps ownership — close it (or
-        use it as a context manager) after the campaign.  Mutually
-        exclusive with ``executor`` and ``stop_after_cells``.
+        Another spelling of ``executor`` for a
+        :class:`~repro.exec.ClusterExecutor`; passing both is an error.
+        Its persistent worker pool is reused across all entries (spawn
+        once, run the whole campaign warm); the caller keeps ownership —
+        close it (or use it as a context manager) after the campaign.
 
     Cells already cached are never re-simulated; an interrupted or
     crashed campaign therefore resumes by re-running the same call.
     """
     if scheduler is not None:
-        return _run_campaign_scheduled(spec, cache, scheduler, store,
-                                       executor, stop_after_cells)
+        if executor is not None:
+            raise ValueError(
+                "run_campaign takes either executor= or scheduler=, not both")
+        executor = scheduler
     runner = resolve_executor(executor, cache)
     cache = runner.cache
     if cache is None:
@@ -183,53 +187,6 @@ def run_campaign(spec: CampaignSpec,
         entries.append(EntryRun(name=entry.name, cells=len(configs),
                                 from_cache=len(configs) - simulated,
                                 simulated=simulated))
-    index_path = None
-    if store is not None:
-        index_path = publish_campaign(spec, sweeps, store)
-    return CampaignReport(campaign=spec.name, entries=entries,
-                          index_path=index_path, sweeps=sweeps)
-
-
-def _run_campaign_scheduled(spec: CampaignSpec,
-                            cache: Optional[ResultCache],
-                            scheduler: ClusterExecutor,
-                            store: Optional[ArtifactStore],
-                            executor: Optional[Executor],
-                            stop_after_cells: Optional[int],
-                            ) -> CampaignReport:
-    """Scheduler path of :func:`run_campaign`: one warm pool, all entries.
-
-    Each entry's grid runs through ``scheduler.run_sweep`` — the cache
-    pre-filter gives the same resume semantics as the serial path, and
-    the pooled workers stay warm from one entry to the next.  Per-entry
-    ``from_cache``/``simulated`` come from the scheduler's own counters
-    (``cells_from_cache``/``cells_streamed``); its ``stage_seconds``
-    accumulate into ``total_stage_seconds`` across the campaign.
-    """
-    if executor is not None:
-        raise ValueError(
-            "run_campaign takes either executor= or scheduler=, not both")
-    if stop_after_cells is not None:
-        raise ValueError(
-            "stop_after_cells is not supported with scheduler= (cells "
-            "complete in parallel worker processes); use the serial or "
-            "parallel executor path for resume testing")
-    if scheduler.cache is None:
-        if cache is None:
-            raise ValueError(
-                "run_campaign needs a cache (pass cache= or a scheduler "
-                "with one): campaign resumability lives in the result "
-                "cache")
-        scheduler.cache = cache
-    entries: List[EntryRun] = []
-    sweeps: Dict[str, SweepResult] = {}
-    for entry, settings in spec.expand():
-        sweep = scheduler.run_sweep(settings)
-        sweeps[entry.name] = sweep
-        entries.append(EntryRun(name=entry.name,
-                                cells=len(settings.grid()),
-                                from_cache=scheduler.cells_from_cache,
-                                simulated=scheduler.cells_streamed))
     index_path = None
     if store is not None:
         index_path = publish_campaign(spec, sweeps, store)

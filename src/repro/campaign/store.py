@@ -114,12 +114,19 @@ class ArtifactStore:
         """Write (or atomically replace) a campaign's index document.
 
         The stored document is stamped with artifact provenance; pass
-        the digest mapping only — the stamp fields are added here.
+        the digest mapping only — the stamp fields are added here.  An
+        index that already holds exactly these bytes is left untouched,
+        so republishing an unchanged campaign writes nothing.
         """
         path = self._index_path(campaign)
         payload = stamp_artifact(dict(document))
-        atomic_write_text(path, json.dumps(payload, sort_keys=True,
-                                           indent=2) + "\n")
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        try:
+            unchanged = path.read_bytes() == text.encode("utf-8")
+        except OSError:
+            unchanged = False
+        if not unchanged:
+            atomic_write_text(path, text)
         return path
 
     def get_index(self, campaign: str,

@@ -8,7 +8,6 @@ directories)::
     repro-cache prune  ROOT [--temp-age SECONDS] [--dry-run]
     repro-cache merge  DEST SOURCE [SOURCE ...]
     repro-cache gc     ROOT [--max-age-days D] [--max-size-mb M] [--dry-run]
-    repro-cache unpack ROOT
 
 Exit status is 0 on success; ``verify`` exits 1 when corrupt entries are
 found and ``merge`` exits 1 when same-key entries with different content
@@ -16,10 +15,8 @@ collide (the destination copy is kept either way).  Every command but
 ``merge`` (whose DEST may be new) exits 2 when ROOT is not an existing
 directory, rather than creating it and reporting an empty cache.
 
-``unpack`` is the one-way migration off the retired packed-segment
-layout (``packs/*.pack``: many entries per file behind an offset index).
-It writes every packed entry back as a loose file, byte for byte, and
-deletes the segments; until then the other commands refuse the root.
+Every command refuses a root that still holds the retired packed
+segments (``packs/*.pack``) with exit 2.
 
 A cache entry is only served when its recorded ``repro`` version matches
 the running package, and **any PR that changes simulation behaviour must
@@ -38,7 +35,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.exec import ResultCache
-from repro.exec.cache import unpack_segments
 
 
 def _fmt_bytes(n: int) -> str:
@@ -127,15 +123,6 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 1 if total_conflicts else 0
 
 
-def cmd_unpack(args: argparse.Namespace) -> int:
-    segments, unpacked, unreadable = unpack_segments(args.root)
-    print(f"unpacked {unpacked} entr(ies) from {segments} segment(s)")
-    for path in unreadable:
-        print(f"unreadable segment left in place (delete it to use the "
-              f"cache): {path}", file=sys.stderr)
-    return 1 if unreadable else 0
-
-
 def cmd_gc(args: argparse.Namespace) -> int:
     if args.max_age_days is None and args.max_size_mb is None:
         print("gc: pass --max-age-days and/or --max-size-mb",
@@ -203,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--dry-run", action="store_true",
                     help="report what would be removed, remove nothing")
     gc.set_defaults(func=cmd_gc)
-
-    unpack = sub.add_parser(
-        "unpack", help="turn retired packed segments into loose entries")
-    unpack.add_argument("root", help="cache directory")
-    unpack.set_defaults(func=cmd_unpack)
     return parser
 
 

@@ -2,8 +2,9 @@
 
 Subcommands::
 
-    repro-campaign run    MANIFEST --cache DIR [--store DIR] [--workers N]
-                          [--stop-after-cells N | --scheduler K]
+    repro-campaign run    MANIFEST --cache DIR [--store DIR]
+                          [--workers N | --scheduler K]
+                          [--stop-after-cells N]
     repro-campaign status MANIFEST --cache DIR [--json]
     repro-campaign query  --store DIR [--campaign NAME [--entry NAME
                           [--figure ID | --figures | --table1 | --sweep]]]
@@ -18,10 +19,9 @@ content-addressed artifact store that ``repro-serve`` and ``query``
 answer from with zero simulations.  ``--stop-after-cells N`` exits with
 code 3 after N newly simulated cells — a deterministic mid-campaign
 "kill" for resume testing and CI.  ``--scheduler K`` runs every entry
-through the streaming shard scheduler instead: one persistent pool of up
-to K warm workers serves the whole campaign, and the per-stage wall-time
-totals are printed at the end (not combinable with
-``--stop-after-cells``).
+through the pooled :class:`~repro.exec.ClusterExecutor`: one persistent
+pool of up to K warm workers serves the whole campaign, and the pool
+decisions and per-stage wall-time totals are printed at the end.
 
 ``status`` reports per-entry cache coverage using the O(1) entry-header
 probe — no simulations, no result deserialization.
@@ -78,28 +78,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.scheduler is not None and args.stop_after_cells is not None:
-        print("error: --stop-after-cells requires the serial/parallel "
-              "path (omit --scheduler): scheduled cells complete in "
-              "parallel workers, so a serial after-N point does not "
-              "exist", file=sys.stderr)
-        return 2
     store = ArtifactStore(args.store) if args.store else None
     scheduler = None
+    if args.scheduler is not None:
+        scheduler = ClusterExecutor(shards=args.scheduler, cache=cache)
+    executor = (build_executor(args.workers, cache) if scheduler is None
+                else scheduler)
     try:
-        if args.scheduler is not None:
-            scheduler = ClusterExecutor(shards=args.scheduler, cache=cache)
-            report = run_campaign(spec, store=store, scheduler=scheduler)
-        else:
-            executor = build_executor(args.workers, cache)
+        with executor:
             report = run_campaign(spec, executor=executor, store=store,
                                   stop_after_cells=args.stop_after_cells)
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}")
         return EXIT_INTERRUPTED
-    finally:
-        if scheduler is not None:
-            scheduler.close()
     for entry in report.entries:
         print(f"entry {entry.name}: {entry.cells} cell(s): "
               f"{entry.from_cache} from cache, {entry.simulated} simulated")
@@ -228,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N", default=None,
                      help="exit with code 3 after N newly simulated "
                           "cells (deterministic mid-campaign kill for "
-                          "resume testing; not with --scheduler)")
+                          "resume testing)")
     run.add_argument("--scheduler", type=_positive_int, metavar="K",
                      default=None,
                      help="run every entry through the streaming shard "

@@ -232,10 +232,8 @@ def cmd_run_scheduler(args: argparse.Namespace, settings: SweepSettings,
                   f"({time.time() - started:6.1f} s elapsed)",  # repro-lint: ignore[D-wallclock] display
                   flush=True)
 
-    try:
+    with scheduler:
         sweep = scheduler.run_sweep(settings, progress=progress)
-    finally:
-        scheduler.close()
     print(f"scheduler: {scheduler.cells_from_cache} cell(s) from cache, "
           f"{scheduler.cells_streamed} streamed from "
           f"{scheduler.workers_launched} worker(s) over "
@@ -288,7 +286,6 @@ def cmd_run(args: argparse.Namespace) -> int:
               "require --scheduler", file=sys.stderr)
         return 2
     shard = ShardSpec.parse(args.shard)
-    executor = build_executor(args.workers, cache)
     plan = plan_shards(settings, shard.count)
     planned = len(plan[shard.index])
     print(f"shard {shard}: {planned} of {len(settings.grid())} grid "
@@ -306,8 +303,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"({time.time() - started:6.1f} s elapsed)",  # repro-lint: ignore[D-wallclock] display
                   flush=True)
 
-    piece = run_sweep_shard(settings, shard=shard, progress=progress,
-                            executor=executor, plan=plan)
+    with build_executor(args.workers, cache) as executor:
+        piece = run_sweep_shard(settings, shard=shard, progress=progress,
+                                executor=executor, plan=plan)
     if executor.cache is not None:
         print(f"cache: {executor.cache.hits} hit(s), "
               f"{executor.simulations_run} simulation(s) executed")

@@ -7,26 +7,27 @@ ablations, Table I, the example scripts — routes through an
 :class:`~repro.exec.executor.Executor`:
 
 * :class:`~repro.exec.executor.SerialExecutor` — in-process, one run at a
-  time (the default, and the historical behaviour).
-* :class:`~repro.exec.executor.ParallelExecutor` — process-pool fan-out
-  with deterministic, submission-ordered results; bit-for-bit identical
-  to the serial path.
+  time (the default, and the reference the parallel path must match).
+* :class:`~repro.exec.scheduler.ClusterExecutor` — the one parallel
+  engine: cache-aware pre-filtering, a persistent
+  :class:`~repro.exec.scheduler.WorkerPool` fed over a cell-granular
+  JSON frame wire, and rebalancing after mid-unit worker deaths;
+  bit-for-bit identical to the serial path.
+  :func:`~repro.exec.executor.build_executor` returns it for
+  ``workers > 1``.
 * :class:`~repro.exec.cache.ResultCache` — content-addressed on-disk
   cache keyed by a stable hash of the config, so repeated sweeps only
   simulate cells that changed.
-* :class:`~repro.exec.scheduler.ClusterExecutor` — streaming shard
-  scheduler: cache-aware pre-filtering, a persistent
-  :class:`~repro.exec.scheduler.WorkerPool` fed over a cell-granular
-  JSON frame wire, incremental merging, and rebalancing after mid-unit
-  worker deaths; bit-for-bit identical to the serial path.
+* :mod:`repro.exec.shard` — the multi-machine path: ``--shard i/K``
+  slices of a sweep grid and their merge.
 
 Quick usage::
 
-    from repro.exec import ParallelExecutor, ResultCache
+    from repro.exec import ResultCache, build_executor
     from repro.experiments import SweepSettings, run_speed_sweep
 
-    executor = ParallelExecutor(cache=ResultCache("results/cache"))
-    sweep = run_speed_sweep(SweepSettings.bench(), executor=executor)
+    with build_executor(8, ResultCache("results/cache")) as executor:
+        sweep = run_speed_sweep(SweepSettings.bench(), executor=executor)
 """
 
 from typing import Any, List
@@ -47,9 +48,7 @@ _EXPORTS = {
     "PruneReport": "repro.exec.cache",
     "ResultCache": "repro.exec.cache",
     "config_key": "repro.exec.cache",
-    "ExecutionError": "repro.exec.executor",
     "Executor": "repro.exec.executor",
-    "ParallelExecutor": "repro.exec.executor",
     "SerialExecutor": "repro.exec.executor",
     "add_executor_options": "repro.exec.executor",
     "build_executor": "repro.exec.executor",

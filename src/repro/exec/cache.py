@@ -26,9 +26,8 @@ Key properties
   — that is what keeps a long-lived cache directory from silently
   serving pre-change results as current.
 * **One layout.**  Entries are loose files, ``<root>/ab/<key>.json``.
-  The retired packed-segment layout (``<root>/packs/*.pack``) is read
-  only by :func:`unpack_segments`, the one-way migration behind
-  ``repro-cache unpack``; :class:`ResultCache` refuses to open a root
+  Nothing reads the retired packed-segment layout
+  (``<root>/packs/*.pack``); :class:`ResultCache` refuses to open a root
   that still holds segments rather than re-simulating them in silence.
 """
 
@@ -39,7 +38,6 @@ import hashlib
 import itertools
 import json
 import os
-import re
 import time
 from pathlib import Path
 from typing import (
@@ -57,13 +55,6 @@ CACHE_FORMAT_VERSION = 1
 #: comfortably larger than the fixed header :meth:`ResultCache.put`
 #: writes (format version + 64-hex key + repro version ≈ 120 bytes).
 _PROBE_HEADER_BYTES = 512
-
-#: Layout version of the retired packed segments :func:`unpack_segments`
-#: reads.
-_PACK_FORMAT_VERSION = 1
-
-#: A cache key: the 64 lowercase hex digits of :func:`config_key`.
-_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 
 def atomic_write_text(path: Union[str, os.PathLike], text: str,
@@ -85,8 +76,8 @@ def atomic_write_text(path: Union[str, os.PathLike], text: str,
 def _write_entry(path: Path, data: bytes) -> None:
     """Durably write one cache entry: unique temp file, fsync, rename.
 
-    The single entry writer behind :meth:`ResultCache.put`,
-    :meth:`ResultCache.merge_from` and :func:`unpack_segments`.  Readers
+    The single entry writer behind :meth:`ResultCache.put` and
+    :meth:`ResultCache.merge_from`.  Readers
     never observe a half-written entry, a renamed entry survives a
     machine crash, and a writer killed mid-write leaves only a
     ``.{key}.{pid}.tmp`` orphan for :meth:`ResultCache.sweep_temp_files`.
@@ -124,66 +115,6 @@ def _temp_file_pid(name: str) -> Optional[int]:
         return None
 
 
-def unpack_segments(root: Union[str, os.PathLike],
-                    ) -> Tuple[int, int, List[Path]]:
-    """Turn the retired packed segments under ``root`` into loose entries.
-
-    The one-way migration behind ``repro-cache unpack``.  A segment
-    (``<root>/packs/<id>.pack``) is one JSON header line,
-    ``{"entries": {key: [offset, length]}, "pack_format": 1}`` with
-    offsets counted from the end of that line, followed by the
-    concatenated entry bytes.  Every entry is written byte for byte as a
-    loose entry through the one entry writer — an existing loose entry
-    wins, as it can only hold the same bytes or newer ones — and the
-    segment is then deleted.  An entry whose span runs past the end of
-    its segment was a miss already and is dropped.  Segments whose
-    header cannot be read are left in place and returned; orphaned
-    segment temp files are removed, and ``packs/`` too once empty.
-
-    Returns ``(segments_removed, entries_unpacked, unreadable_segments)``.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise ValueError(f"cache root {str(root)!r} is not an existing "
-                         f"directory")
-    packs = root / "packs"
-    segments = entries = 0
-    unreadable: List[Path] = []
-    for segment in sorted(packs.glob("*.pack")):
-        try:
-            with open(segment, "rb") as handle:
-                header_line = handle.readline()
-                header = json.loads(header_line.decode("utf-8"))
-                if header.get("pack_format") != _PACK_FORMAT_VERSION:
-                    raise ValueError("unknown pack format")
-                spans = {str(key): (int(span[0]), int(span[1]))
-                         for key, span in dict(header["entries"]).items()}
-                for key in sorted(spans):
-                    offset, length = spans[key]
-                    if not _KEY_PATTERN.fullmatch(key) or offset < 0:
-                        continue
-                    handle.seek(len(header_line) + offset)
-                    data = handle.read(length)
-                    dst = root / key[:2] / f"{key}.json"
-                    if len(data) != length or dst.is_file():
-                        continue
-                    _write_entry(dst, data)
-                    entries += 1
-        except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                IndexError):
-            unreadable.append(segment)
-            continue
-        segment.unlink()
-        segments += 1
-    for tmp in sorted(packs.glob(".*.tmp")):
-        tmp.unlink()
-    try:
-        packs.rmdir()
-    except OSError:  # absent, or unreadable segments remain
-        pass
-    return segments, entries, unreadable
-
-
 def config_key(config: ScenarioConfig) -> str:
     """Stable SHA-256 hex digest identifying ``config``'s simulation.
 
@@ -215,8 +146,8 @@ class ResultCache:
         Directory holding the cache; created (with parents) if missing.
         Entries live under two-character shard subdirectories
         (``<root>/ab/abcdef....json``) to keep directories small even for
-        very large grids.  A root that still holds packed segments raises
-        :class:`ValueError` naming ``repro-cache unpack``.
+        very large grids.  A root that still holds retired packed
+        segments raises :class:`ValueError`.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -231,8 +162,9 @@ class ResultCache:
         if segments:
             raise ValueError(
                 f"cache root {str(self.root)!r} still holds packed segments "
-                f"(e.g. {segments[0].name}); run 'repro-cache unpack "
-                f"{self.root}' to turn them into loose entries")
+                f"(e.g. {segments[0].name}), a retired layout this version "
+                f"does not read; use another cache root, or delete "
+                f"{str(self.root / 'packs')!r} to re-simulate its entries")
         #: Number of successful lookups since this object was created.
         self.hits: int = 0
         #: Number of failed lookups (absent or unreadable entries).
@@ -374,14 +306,22 @@ class ResultCache:
         :func:`_entry_header` guard prefix (format version, key, repro
         version), followed by the sorted-key body.
         """
-        config_dict = config.to_dict()
+        return self._put_dicts(config.to_dict(), result.to_dict())
+
+    def _put_dicts(self, config_dict: Dict[str, object],
+                   result_dict: Dict[str, object]) -> Path:
+        """:meth:`put` from ``config.to_dict()`` and ``result.to_dict()``.
+
+        For a writer that needs the result dict again (a scheduler
+        worker also sends it in its frame), so it is built only once.
+        """
         key = _key_of(config_dict)
         body = json.dumps({
             "version": CACHE_FORMAT_VERSION,
             "repro_version": __version__,
             "key": key,
             "config": config_dict,
-            "result": result.to_dict(),
+            "result": result_dict,
         }, sort_keys=True)
         path = self._entry_path(key)
         _write_entry(path, _entry_header(key) + body[1:].encode("utf-8"))
@@ -630,8 +570,9 @@ class CacheStats:
     #: entry count per recorded ``repro_version`` stamp.
     by_version: Dict[str, int]
     current_version: str
-    #: Always 0 since the packed-segment layout was retired; kept only so
-    #: existing readers of these two fields keep working.
+    #: Always 0 since the packed-segment layout was retired; kept only
+    #: because the benchmark (``perfbench/worker.py``) still reads
+    #: them to count cache files.
     packs: int = 0
     packed_entries: int = 0
 

@@ -1,34 +1,30 @@
-"""Executors: map scenario configurations to results, serially or in parallel.
+"""Executors: map scenario configurations to results.
 
 An :class:`Executor` turns a sequence of
 :class:`~repro.scenario.config.ScenarioConfig` objects into the matching
-sequence of :class:`~repro.scenario.results.ScenarioResult` objects.  Two
-implementations are provided:
+sequence of :class:`~repro.scenario.results.ScenarioResult` objects, in
+input order.  Two implementations are provided:
 
 * :class:`SerialExecutor` — runs every simulation in-process, one after
-  the other (the historical behaviour of the experiment harness).
-* :class:`ParallelExecutor` — fans simulations out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Configurations and
-  results cross the process boundary as JSON (via ``to_json`` /
-  ``from_json``), and results are reassembled in submission order, so a
-  parallel run is **bit-for-bit identical** to a serial run of the same
-  configs — each simulation is deterministic given its seed and runs in
-  its own fresh process.
+  the other: the reference every other path is compared against.
+* :class:`~repro.exec.scheduler.ClusterExecutor` — the one parallel
+  engine: a persistent pool of worker processes with cache-aware
+  rebalancing after worker deaths.  :func:`build_executor` returns it
+  for ``workers > 1``.  Each simulation is deterministic given its
+  config, so its results are **bit-for-bit identical** to a serial run
+  of the same configs.
 
-Both executors accept an optional
-:class:`~repro.exec.cache.ResultCache`; cached configurations are served
-from disk and only the remainder is simulated.  ``Executor.run`` preserves
-input order regardless of cache hits or completion order, which is what
-makes sweep output independent of the execution strategy.
+Both accept an optional :class:`~repro.exec.cache.ResultCache`; cached
+configurations are served from disk and only the remainder is
+simulated.  ``Executor.run`` preserves input order regardless of cache
+hits or completion order, which is what makes sweep output independent
+of the execution strategy.
 """
 
 from __future__ import annotations
 
 import abc
-import concurrent.futures
-import multiprocessing
 import os
-import sys
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
@@ -46,37 +42,13 @@ def simulate(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioBuilder(config).build().run()
 
 
-# ---------------------------------------------------------------------- #
-# worker-process entry points (must be module-level so they pickle by name)
-# ---------------------------------------------------------------------- #
-def _worker_init(src_root: str) -> None:
-    """Make the ``repro`` package importable in spawned worker processes.
-
-    Under the default ``fork`` start method this is a no-op; under
-    ``spawn``/``forkserver`` the child re-imports this module, which
-    requires the source root on ``sys.path`` even when the parent set it
-    up via ``sys.path`` manipulation rather than ``PYTHONPATH``.
-    """
-    if src_root not in sys.path:
-        sys.path.insert(0, src_root)
-
-
-def _run_serialized(config_json: str) -> str:
-    """Run one scenario from its JSON config; return the JSON result."""
-    config = ScenarioConfig.from_json(config_json)
-    return simulate(config).to_json()
-
-
-class ExecutionError(RuntimeError):
-    """Raised when an executor fails to produce a result for every config."""
-
-
 class Executor(abc.ABC):
     """Maps scenario configs to results, optionally through a result cache.
 
-    Subclasses implement :meth:`_execute`; :meth:`run` layers cache
-    lookups, cache writes, progress reporting, and order restoration on
-    top, so every execution strategy shares identical caching semantics.
+    Executors are context managers: :meth:`close` releases whatever an
+    implementation holds between runs (the pooled workers of
+    :class:`~repro.exec.scheduler.ClusterExecutor`) and does nothing on
+    :class:`SerialExecutor`.
 
     Parameters
     ----------
@@ -95,6 +67,7 @@ class Executor(abc.ABC):
         self.simulations_run: int = 0
 
     # ------------------------------------------------------------------ #
+    @abc.abstractmethod
     def run(self, configs: Sequence[ScenarioConfig],
             progress: Optional[ProgressCallback] = None,
             ) -> List[ScenarioResult]:
@@ -111,109 +84,44 @@ class Executor(abc.ABC):
             follows completion, not submission; the returned list is
             always in submission order.
         """
-        configs = list(configs)
-        results: List[Optional[ScenarioResult]] = [None] * len(configs)
-        if self.cache is not None:
-            hits, pending = self.cache.lookup(configs)
-        else:
-            hits, pending = {}, list(range(len(configs)))
-        for index, cached in hits.items():
-            results[index] = cached
-            if progress is not None:
-                progress(index, configs[index], cached)
-
-        if pending:
-            def report(position: int, result: ScenarioResult) -> None:
-                index = pending[position]
-                results[index] = result
-                if self.cache is not None:
-                    self.cache.put(configs[index], result)
-                if progress is not None:
-                    progress(index, configs[index], result)
-
-            self._execute([configs[index] for index in pending], report)
-            self.simulations_run += len(pending)
-
-        missing = [index for index, result in enumerate(results)
-                   if result is None]
-        if missing:
-            raise ExecutionError(
-                f"executor produced no result for configs at {missing}")
-        return results  # type: ignore[return-value]
 
     def run_one(self, config: ScenarioConfig) -> ScenarioResult:
         """Convenience wrapper: run a single configuration."""
         return self.run([config])[0]
 
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _execute(self, configs: Sequence[ScenarioConfig],
-                 report: Callable[[int, ScenarioResult], None]) -> None:
-        """Run every config, calling ``report(position, result)`` for each.
+    def close(self) -> None:
+        """Release resources held between runs (idempotent)."""
 
-        ``position`` indexes into ``configs`` (not the caller's original
-        sequence); ``report`` may be called in any order but must be
-        called exactly once per config.
-        """
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 class SerialExecutor(Executor):
-    """Run every simulation in-process, in order (the historical path)."""
+    """Run every simulation in-process, in order (the reference path)."""
 
-    def _execute(self, configs: Sequence[ScenarioConfig],
-                 report: Callable[[int, ScenarioResult], None]) -> None:
-        for position, config in enumerate(configs):
-            report(position, simulate(config))
-
-
-class ParallelExecutor(Executor):
-    """Fan simulations out across a pool of worker processes.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()``.  The pool is sized
-        down to the number of submitted configs, so small batches never
-        pay for idle workers.
-    cache:
-        Optional result cache (see :class:`Executor`).
-    mp_context:
-        Start-method name (``"fork"``/``"spawn"``/``"forkserver"``) or a
-        :mod:`multiprocessing` context; ``None`` uses the platform
-        default.
-
-    Determinism: every simulation derives all randomness from its config
-    seed and runs in a fresh scenario object, so results do not depend on
-    which worker ran them or in what order they finished.  ``run``
-    reassembles results in submission order, making parallel output
-    bit-for-bit identical to :class:`SerialExecutor`.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 cache: Optional[Union[ResultCache, str, os.PathLike]] = None,
-                 mp_context: Union[str, multiprocessing.context.BaseContext,
-                                   None] = None) -> None:
-        super().__init__(cache)
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = max_workers or os.cpu_count() or 1
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        self._mp_context = mp_context
-
-    def _execute(self, configs: Sequence[ScenarioConfig],
-                 report: Callable[[int, ScenarioResult], None]) -> None:
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        workers = min(self.max_workers, len(configs))
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=self._mp_context,
-                initializer=_worker_init, initargs=(src_root,)) as pool:
-            futures = {pool.submit(_run_serialized, config.to_json()): position
-                       for position, config in enumerate(configs)}
-            for future in concurrent.futures.as_completed(futures):
-                report(futures[future],
-                       ScenarioResult.from_json(future.result()))
+    def run(self, configs: Sequence[ScenarioConfig],
+            progress: Optional[ProgressCallback] = None,
+            ) -> List[ScenarioResult]:
+        configs = list(configs)
+        if self.cache is not None:
+            results, pending = self.cache.lookup(configs)
+        else:
+            results, pending = {}, list(range(len(configs)))
+        if progress is not None:
+            for index, cached in results.items():
+                progress(index, configs[index], cached)
+        for index in pending:
+            result = simulate(configs[index])
+            self.simulations_run += 1
+            results[index] = result
+            if self.cache is not None:
+                self.cache.put(configs[index], result)
+            if progress is not None:
+                progress(index, configs[index], result)
+        return [results[index] for index in range(len(configs))]
 
 
 def resolve_executor(executor: Optional[Executor] = None,
@@ -248,17 +156,21 @@ def build_executor(workers: int = 1,
     """Construct an executor from CLI-style knobs.
 
     ``workers``: ``0`` means one worker per CPU core, ``1`` the serial
-    in-process executor, ``N > 1`` a parallel pool of N processes.
+    in-process executor, ``N > 1`` a
+    :class:`~repro.exec.scheduler.ClusterExecutor` pool of N processes
+    that hands out one cell at a time as workers come free.
     ``cache`` may be a :class:`ResultCache` or a directory path.  This is
     the one place the example scripts and benchmarks translate their
-    ``--workers`` / ``--cache`` options into an executor.
+    ``--workers`` / ``--cache`` options into an executor; close it (or
+    use it as a context manager) when done.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers > 1:
-        return ParallelExecutor(max_workers=workers, cache=cache)
+        from repro.exec.scheduler import ClusterExecutor
+        return ClusterExecutor(shards=None, workers=workers, cache=cache)
     return SerialExecutor(cache=cache)
 
 

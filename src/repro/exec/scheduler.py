@@ -1,63 +1,62 @@
-"""Streaming shard scheduler: cluster-style sweeps with rebalancing.
+"""The parallel engine: a pooled, cache-aware, rebalancing executor.
 
-:class:`ClusterExecutor` (alias :class:`ShardScheduler`) runs a full
-:class:`~repro.experiments.sweep.SweepSettings` grid the way a cluster
-controller would, while staying a single ~local process tree:
+:class:`ClusterExecutor` (alias :class:`ShardScheduler`) is the
+:class:`~repro.exec.executor.Executor` that runs a list of scenario
+configs over worker processes the way a cluster controller would, while
+staying a single local process tree:
 
-1. **Cache-aware pre-filter.**  Every grid cell already present in the
-   (merged) :class:`~repro.exec.cache.ResultCache` is served from disk
-   up front (:meth:`ResultCache.lookup`); only the misses are scheduled.
-   A fully warm cache therefore dispatches no workers and runs zero
-   simulations.
+1. **Cache-aware pre-filter.**  Every config already present in the
+   :class:`~repro.exec.cache.ResultCache` is served from disk up front
+   (:meth:`ResultCache.lookup`); only the misses are scheduled.  A fully
+   warm cache therefore dispatches no workers and runs zero simulations.
 2. **Plan.**  The remaining cells are partitioned into work units by
    hashing their cache keys — the same coordination-free split as
-   :func:`~repro.exec.shard.plan_shards`, so on a cold cache the first
-   round's plan is exactly the K-machine ``--shard i/K`` plan.
+   :func:`~repro.exec.shard.plan_shards`, so for a sweep grid on a cold
+   cache the first round's plan is exactly the K-machine
+   ``--shard i/K`` plan.  With ``shards=None`` (how
+   :func:`~repro.exec.executor.build_executor` builds it) each cell is
+   its own unit instead, queued in input order.
 3. **Dispatch & stream.**  Units are dispatched to a persistent
    :class:`WorkerPool`: worker processes spawn once (fork-preferred, so
    the parent's warm imports carry over; spawn falls back to a
    ``sys.path`` bootstrap), then survive across scheduling rounds *and*
-   across sweeps — a campaign reuses the same warm pool for every
-   entry.  The wire is cell-granular: a worker emits each completed
-   cell as its own length-prefixed JSON frame over the
-   :mod:`multiprocessing.connection` channel, and the scheduler feeds
-   :class:`~repro.exec.shard.ShardMerger` frame by frame — lower
-   memory than whole-shard artifacts, faster failure detection, and
-   byte-identical merge order (assembly is canonical regardless of
-   arrival order).  A worker writes each cell to the shared cache with
-   :meth:`ResultCache.put` right after simulating it, then sends the
-   cell's frame.
+   across runs — a campaign reuses the same warm pool for every entry.
+   A unit's payload carries its cells' ``config.to_dict()``.  The wire
+   is cell-granular: a worker writes each completed cell to the shared
+   cache (if the executor has one), then emits it as its own
+   length-prefixed JSON frame over the :mod:`multiprocessing.connection`
+   channel, and the executor places it at its position in the output
+   the moment it arrives.
 4. **Rebalance.**  When a worker dies mid-unit (crash, kill, or an
    injected fault), the cells it already streamed are kept, the
-   scheduler sweeps the dead writer's orphaned cache temp files,
+   executor sweeps the dead writer's orphaned cache temp files,
    re-filters the missing cells against the cache — cells the worker
    wrote before dying are recovered for free — and re-plans only the
    genuinely lost cells, up to ``max_retries`` extra rounds.
    Rebalancing reuses surviving warm workers from the pool rather than
    relaunching everything.
 
-The scheduled sweep is **bit-for-bit identical** to a serial
-:func:`~repro.experiments.sweep.run_speed_sweep`: every cell simulation
-is deterministic given its config, results cross process boundaries as
-canonical JSON (a lossless round trip), and assembly goes through the
-shared :func:`~repro.exec.shard.assemble_sweep_result` path regardless
-of which workers crashed, which cells were replayed from cache, or what
-order artifacts streamed back.  The local process transport is
-deliberately thin: a remote backend only needs to move the same two JSON
-payloads over a different wire.
+Results are **bit-for-bit identical** to
+:class:`~repro.exec.executor.SerialExecutor`: every simulation is
+deterministic given its config, configs and results cross the process
+boundary as canonical JSON (a lossless round trip), and ``run`` returns
+results in input order whichever workers crashed, which cells were
+replayed from cache, or what order frames streamed back.  The local
+process transport is deliberately thin: a remote backend only needs to
+move the same JSON payloads over a different wire.
 
 Fault injection (tests / CI) is deterministic: a
 :class:`FaultInjection` names a scheduling round and work unit, and the
 worker kills its own process (``os._exit``) after the given number of
 completed cells — after the cell's cache write, before that cell's
-frame is sent, exactly like a machine lost mid-unit (the scheduler
+frame is sent, exactly like a machine lost mid-unit (the executor
 recovers the written cell from the cache next round).  A
 ``mode="hang"`` fault instead wedges the worker (alive, no progress),
 which the per-worker ``worker_timeout`` heartbeat detects: the wedged
 process is terminated and its unit rebalanced like any other failure.
 
 Per-stage wall-time counters (``stage_seconds``: spawn / serialize /
-simulate / stream / merge / cache_write / lookup) expose where a sweep's
+simulate / stream / merge / cache_write / lookup) expose where a run's
 time went; ``repro-sweep``/``repro-campaign`` print them and the
 orchestration bench profile records them.
 
@@ -67,13 +66,14 @@ circular-import idiom as :mod:`repro.exec.shard`).
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import sys
-import tempfile
 import time
 from multiprocessing.connection import Connection
 from typing import (
@@ -82,8 +82,8 @@ from typing import (
 )
 
 from repro.exec.cache import ResultCache
-from repro.exec.executor import simulate
-from repro.exec.shard import ShardMerger, shard_of_config
+from repro.exec.executor import Executor, ProgressCallback, simulate
+from repro.exec.shard import shard_of_config
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.results import ScenarioResult
 
@@ -116,7 +116,7 @@ STAGE_NAMES = ("spawn", "serialize", "simulate", "stream", "merge",
 
 
 class SchedulerError(RuntimeError):
-    """Raised when the grid cannot be completed within ``max_retries``."""
+    """Raised when a run cannot be completed within ``max_retries``."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,8 +191,9 @@ def _pool_worker_main(conn: Connection, src_root: str) -> None:
     ``src_root`` bootstrap makes the package importable), then the
     worker idles on the duplex channel and runs every unit it is handed
     with warm imports.  EOF on the channel or an ``{"op": "exit"}``
-    frame ends the loop; an unexpected exception kills the process,
-    which the scheduler observes as a mid-unit crash.
+    frame ends the loop.  A cell that raises is reported in an error
+    frame (:func:`_run_pool_unit`); any other exception kills the
+    process, which the scheduler observes as a mid-unit crash.
     """
     if src_root not in sys.path:  # pragma: no cover - spawn start only
         sys.path.insert(0, src_root)
@@ -212,31 +213,42 @@ def _pool_worker_main(conn: Connection, src_root: str) -> None:
 def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
     """Run one work unit: write each cell to the cache, then stream it.
 
-    The payload carries the sweep settings, the unit's canonical grid
-    indices, the shared cache root, and the optional fault-injection
-    hook.  Each completed cell is written with :meth:`ResultCache.put`
-    and then sent back as its own frame, so an injected kill — which
-    lands after the write and withholds the fatal cell's frame — leaves
-    exactly the on-disk state of a real crash-after-write: the scheduler
-    recovers that cell from the cache next round.
+    The payload carries the unit's cells (their positions in the
+    submitted config list and their ``config.to_dict()`` forms), the
+    shared cache root (``None``: write nothing), and the optional
+    fault-injection hook.  Each completed cell is written to the cache
+    and then sent back as its own frame, so an injected kill — which lands after the write and
+    withholds the fatal cell's frame — leaves exactly the on-disk state
+    of a real crash-after-write: the executor recovers that cell from
+    the cache next round.  The result is serialized once, for both the
+    cache entry and the frame.
+
+    A cell that raises (a config the builder rejects, a failed cache
+    write) ends the unit with an error frame carrying the pickled
+    exception, which the executor re-raises instead of retrying a
+    deterministic failure.
     """
-    from repro.experiments.sweep import SweepSettings
-    settings = SweepSettings.from_dict(payload["settings"])
     indices = [int(index) for index in payload["cells"]]
     fail_after = payload.get("fail_after_cells")
     fail_mode = payload.get("fail_mode", "kill")
-    grid = settings.grid()
-    configs = [settings.cell_config(*grid[index]) for index in indices]
-    cache = ResultCache(str(payload["cache_root"]))
+    configs = [ScenarioConfig.from_dict(data) for data in payload["configs"]]
+    cache_root = payload["cache_root"]
+    cache = None if cache_root is None else ResultCache(str(cache_root))
     cache_write_s = 0.0
 
     for position, config in enumerate(configs):
-        started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        result = simulate(config)
-        simulated = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        sim_s = simulated - started
-        cache.put(config, result)
-        cache_write_s += time.perf_counter() - simulated  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+        try:
+            started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+            result = simulate(config)
+            simulated = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+            sim_s = simulated - started
+            result_dict = result.to_dict()
+            if cache is not None:
+                cache._put_dicts(config.to_dict(), result_dict)
+            cache_write_s += time.perf_counter() - simulated  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+        except Exception as exc:
+            conn.send_bytes(_error_frame(indices[position], exc))
+            return
         if fail_after is not None and position + 1 >= int(fail_after):
             if fail_mode == "hang":
                 # Alive but wedged: hold the channel open and make no
@@ -247,12 +259,31 @@ def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
             conn.close()
             os._exit(FAULT_EXIT_CODE)
         frame = json.dumps({"cell": indices[position],
-                            "result": result.to_dict(),
+                            "result": result_dict,
                             "sim_s": sim_s}, sort_keys=True)
         conn.send_bytes(frame.encode("utf-8"))
     done = json.dumps({"done": payload["unit_index"],
                        "cache_write_s": cache_write_s}, sort_keys=True)
     conn.send_bytes(done.encode("utf-8"))
+
+
+def _error_frame(cell: int, exc: Exception) -> bytes:
+    """The frame reporting that ``cell`` raised ``exc``.
+
+    The exception travels pickled (base64 inside the JSON frame), so the
+    executor re-raises the same type with the same arguments, as
+    :class:`SerialExecutor <repro.exec.executor.SerialExecutor>` would.
+    One that does not survive a pickle round trip is sent as a
+    :class:`RuntimeError` naming its type and message.
+    """
+    try:
+        blob = pickle.dumps(exc)
+        pickle.loads(blob)
+    except Exception:
+        blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return json.dumps({"cell": cell,
+                       "error": base64.b64encode(blob).decode("ascii")},
+                      sort_keys=True).encode("utf-8")
 
 
 @dataclasses.dataclass
@@ -354,76 +385,93 @@ class WorkerPool:
         return len(self._idle)
 
 
+def _plan_units(configs: Sequence[ScenarioConfig], cells: Sequence[int],
+                unit_count: int) -> List[List[int]]:
+    """Split ``cells`` (positions in ``configs``) into non-empty units.
+
+    Cells are assigned by hashing their config's cache key with
+    :func:`~repro.exec.shard.shard_of_config` — the same pure function
+    the K-machine planner uses — then empty units are dropped.  For a
+    sweep grid on a cold cache this reproduces
+    ``plan_shards(settings, unit_count)`` exactly (minus empty shards).
+    """
+    if unit_count < 1:
+        raise ValueError("unit count must be at least 1")
+    units: List[List[int]] = [[] for _ in range(unit_count)]
+    for index in cells:
+        units[shard_of_config(configs[index], unit_count)].append(index)
+    return [unit for unit in units if unit]
+
+
 def partition_cells(settings: "SweepSettings", cells: Sequence[int],
                     unit_count: int,
                     configs: Optional[Sequence[ScenarioConfig]] = None,
                     ) -> List[List[int]]:
-    """Split ``cells`` (canonical grid indices) into non-empty work units.
+    """The work units :class:`ClusterExecutor` plans for grid ``cells``.
 
-    Cells are assigned by hashing their config's cache key with
-    :func:`~repro.exec.shard.shard_of_config` — the same pure function
-    the K-machine planner uses — then empty units are dropped.  With the
-    full grid and a cold cache this reproduces
-    ``plan_shards(settings, unit_count)`` exactly (minus empty shards).
-    ``configs``, when given, is the full grid's config list
-    (``settings.cell_configs()``) so callers that already built it do
-    not pay for rebuilding and re-hashing every cell each round.
+    ``cells`` are canonical grid indices of ``settings``; ``configs``,
+    when given, is the full grid's config list
+    (``settings.cell_configs()``).  Tests use this to aim faults at the
+    unit that will hold a given cell.
     """
-    if unit_count < 1:
-        raise ValueError("unit count must be at least 1")
-    grid = settings.grid()
-    units: List[List[int]] = [[] for _ in range(unit_count)]
-    for index in cells:
-        config = (configs[index] if configs is not None
-                  else settings.cell_config(*grid[index]))
-        units[shard_of_config(config, unit_count)].append(index)
-    return [unit for unit in units if unit]
+    if configs is None:
+        configs = settings.cell_configs()
+    return _plan_units(configs, cells, unit_count)
 
 
-class ClusterExecutor:
-    """Streaming shard scheduler with cache-aware rebalancing.
+class ClusterExecutor(Executor):
+    """Pooled, cache-aware executor that rebalances after worker deaths.
 
     Parameters
     ----------
     shards:
         Number of work units per scheduling round (the ``--scheduler K``
         CLI knob).  On a cold cache the first round's plan equals the
-        K-machine ``plan_shards`` split.
+        K-machine ``plan_shards`` split.  ``None`` makes every pending
+        cell its own unit, in input order — a task queue that keeps
+        every worker busy until the last cell
+        (:func:`~repro.exec.executor.build_executor` plans this way).
     workers:
         Maximum concurrently running worker processes; defaults to
-        ``shards``.  Units beyond the cap queue and dispatch as workers
-        finish, so artifacts stream back throughout the round.
+        ``shards`` (and is required when ``shards`` is ``None``).  Units
+        beyond the cap queue and dispatch as workers finish, so results
+        stream back throughout the round.
     max_retries:
         Extra scheduling rounds allowed after worker failures.  ``0``
-        means a single round: any worker death fails the sweep.
+        means a single round: any worker death fails the run.
     worker_timeout:
         Progress heartbeat in seconds.  A worker's deadline starts at
-        dispatch and is extended whenever new cells of its unit appear
-        in the shared cache root (each completed cell is written there
-        before the worker moves on), so a healthy worker with a large
-        unit of many cells is never reaped mid-run.  A worker that
-        makes no observable progress for ``worker_timeout`` seconds is
-        terminated and its unit rebalanced exactly like a crashed
-        worker — the heartbeat that keeps a hung-but-alive machine from
+        dispatch and is extended whenever a cell of its unit streams
+        back or, with a cache, appears in the shared cache root (each
+        completed cell is written there before its frame is sent), so a
+        healthy worker with a large unit of many cells is never reaped
+        mid-run.  A worker that makes no observable progress for
+        ``worker_timeout`` seconds is terminated and its unit rebalanced
+        exactly like a crashed worker — the heartbeat that keeps a hung-but-alive machine from
         blocking its round forever.  The only progress signal is a
         *completed cell*, so the timeout must comfortably exceed the
         wall-clock of the slowest single cell plus worker startup
         (process spawn and imports) — a smaller value reaps healthy
         workers mid-cell and, repeated over ``max_retries`` rounds,
-        fails the sweep.  ``None`` (default) waits indefinitely (the
+        fails the run.  ``None`` (default) waits indefinitely (the
         historical behaviour).
     cache:
-        The shared :class:`ResultCache` (or a path).  ``None`` uses a
-        private temporary cache root for the duration of the run —
-        crash recovery still works, but nothing persists afterwards.
+        The shared :class:`ResultCache` (or a path).  With ``None``
+        workers write nothing: cells a dead worker streamed are kept,
+        and the rest of its unit is simulated again.
     faults:
         :class:`FaultInjection` instances (tests/CI only).
     mp_context:
-        Start-method name or :mod:`multiprocessing` context, as in
-        :class:`~repro.exec.executor.ParallelExecutor`.  ``None`` lets
-        the :class:`WorkerPool` prefer the fork start method.
+        Start-method name (``"fork"``/``"spawn"``/``"forkserver"``) or a
+        :mod:`multiprocessing` context.  ``None`` lets the
+        :class:`WorkerPool` prefer the fork start method.
 
-    Counters (reset at each :meth:`run_sweep` call) expose what happened:
+    The pool outlives a run; :meth:`close` (or leaving a ``with`` block)
+    retires its workers.  ``simulations_run`` counts the cells that
+    arrived as worker frames, so ``cells_from_cache + cells_streamed``
+    is the number of configs of every successful run.
+
+    Counters (reset at each :meth:`run` call) expose what happened:
     ``cells_from_cache`` (pre-filter plus post-crash recovery hits),
     ``cells_streamed`` (arrived as worker result frames),
     ``workers_launched`` (units dispatched to a worker process),
@@ -433,7 +481,7 @@ class ClusterExecutor:
     (``total_stage_seconds`` accumulates across runs for campaigns).
     """
 
-    def __init__(self, shards: int = 2,
+    def __init__(self, shards: Optional[int] = 2,
                  workers: Optional[int] = None,
                  max_retries: int = 2,
                  cache: Optional[Union[ResultCache, str, os.PathLike]] = None,
@@ -441,9 +489,14 @@ class ClusterExecutor:
                  worker_timeout: Optional[float] = None,
                  mp_context: Union[str, multiprocessing.context.BaseContext,
                                    None] = None) -> None:
-        if shards < 1:
+        if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1")
-        if workers is not None and workers < 1:
+        if workers is None:
+            if shards is None:
+                raise ValueError("one unit per cell (shards=None) needs "
+                                 "a workers count")
+            workers = shards
+        if workers < 1:
             raise ValueError("workers must be at least 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -452,15 +505,13 @@ class ClusterExecutor:
         if worker_timeout is None and any(fault.mode == "hang"
                                           for fault in faults):
             # A wedged worker is only ever recovered by the heartbeat;
-            # without one run_sweep would block forever.
+            # without one a run would block forever.
             raise ValueError("hang-mode faults require a worker_timeout")
+        super().__init__(cache)
         self.shards = shards
-        self.workers = workers or shards
+        self.workers = workers
         self.max_retries = max_retries
         self.worker_timeout = worker_timeout
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        self.cache = cache
         self.faults = tuple(faults)
         if isinstance(mp_context, str):
             mp_context = multiprocessing.get_context(mp_context)
@@ -515,36 +566,34 @@ class ClusterExecutor:
             self._pool.close()
             self._pool = None
 
-    def __enter__(self) -> "ClusterExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     def run_sweep(self, settings: Optional["SweepSettings"] = None,
                   progress: Optional[SweepProgress] = None) -> "SweepResult":
-        """Run the full grid of ``settings``; returns the merged sweep.
+        """``run_speed_sweep(settings, progress, executor=self)``."""
+        from repro.experiments.sweep import run_speed_sweep
+        return run_speed_sweep(settings, progress, executor=self)
 
-        The result is bit-for-bit identical to
-        ``run_speed_sweep(settings)`` on a serial executor, whatever the
-        cache state and whichever workers crash (within ``max_retries``).
+    def run(self, configs: Sequence[ScenarioConfig],
+            progress: Optional[ProgressCallback] = None,
+            ) -> List[ScenarioResult]:
+        """Execute ``configs``; results come back **in input order**.
+
+        Bit-for-bit identical to :meth:`SerialExecutor.run
+        <repro.exec.executor.SerialExecutor.run>`, whatever the cache
+        state and whichever workers crash (within ``max_retries``).
+        Raises :class:`SchedulerError` when a cell is still missing
+        after the last round.
         """
-        from repro.experiments.sweep import SweepSettings
-        settings = settings or SweepSettings.bench()
+        configs = list(configs)
         self._reset_counters()
         spawned_before = reused_before = 0
         if self._pool is not None:
             spawned_before = self._pool.workers_spawned
             reused_before = self._pool.workers_reused
         try:
-            if self.cache is not None:
-                return self._run(settings, self.cache, progress)
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-scheduler-") as root:
-                return self._run(settings, ResultCache(root), progress)
+            return self._run(configs, progress)
         except BaseException:
-            # A failed sweep (SchedulerError, interrupt, ...) leaves no
+            # A failed run (SchedulerError, interrupt, ...) leaves no
             # pooled workers behind; the next run starts cleanly.
             self.close()
             raise
@@ -558,54 +607,58 @@ class ClusterExecutor:
                 self.total_workers_reused += self.workers_reused
 
     # ------------------------------------------------------------------ #
-    def _run(self, settings: "SweepSettings", cache: ResultCache,
-             progress: Optional[SweepProgress]) -> "SweepResult":
-        grid = settings.grid()
-        configs = settings.cell_configs()
-        merger = ShardMerger(settings)
-        pending = list(range(len(grid)))
+    def _run(self, configs: Sequence[ScenarioConfig],
+             progress: Optional[ProgressCallback]) -> List[ScenarioResult]:
+        cache = self.cache
+        results: Dict[int, ScenarioResult] = {}
+        pending = list(range(len(configs)))
         round_no = 0
         while True:
             # Cache-aware (re-)filter: round 0 is the pre-filter; later
             # rounds recover cells a dead worker completed before dying.
-            lookup_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-            hits, _misses = cache.lookup([configs[index]
-                                          for index in pending])
-            self._add_stage("lookup",
-                            time.perf_counter() - lookup_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+            hits: Dict[int, ScenarioResult] = {}
+            if cache is not None:
+                lookup_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                hits, _misses = cache.lookup([configs[index]
+                                              for index in pending])
+                self._add_stage("lookup",
+                                time.perf_counter() - lookup_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
             if hits:
-                recovered = {pending[position]: result
-                             for position, result in hits.items()}
-                merger.add_results(recovered)
-                self.cells_from_cache += len(recovered)
-                self._report(settings, grid, recovered, progress)
+                for position, result in hits.items():
+                    index = pending[position]
+                    results[index] = result
+                    if progress is not None:
+                        progress(index, configs[index], result)
+                self.cells_from_cache += len(hits)
                 pending = [index for index in pending
-                           if index not in recovered]
+                           if index not in results]
             if not pending:
                 break
             if round_no > self.max_retries:
                 raise SchedulerError(
-                    f"sweep incomplete after {round_no} round(s) "
+                    f"run incomplete after {round_no} round(s) "
                     f"({self.worker_failures} worker failure(s)): "
                     f"{len(pending)} grid cell(s) missing: {pending}")
-            units = partition_cells(settings, pending,
-                                    min(self.shards, len(pending)),
-                                    configs=configs)
+            if self.shards is None:
+                units = [[index] for index in pending]
+            else:
+                units = _plan_units(configs, pending,
+                                    min(self.shards, len(pending)))
             failed_units, dead_pids = self._run_round(
-                settings, grid, configs, units, round_no, cache, merger,
-                progress)
+                configs, units, round_no, cache, results, progress)
             self.rounds += 1
             if failed_units:
                 self.worker_failures += len(failed_units)
-                self.temp_files_swept += self._sweep_orphans(cache,
-                                                             dead_pids)
-            pending = [index for index in pending if index not in merger]
+                if cache is not None:
+                    self.temp_files_swept += self._sweep_orphans(cache,
+                                                                 dead_pids)
+            pending = [index for index in pending if index not in results]
             round_no += 1
-        if self.rounds:
-            # Only a sweep that wrote can have left strays behind; a fully
+        if self.rounds and cache is not None:
+            # Only a run that wrote can have left strays behind; a fully
             # cached replay skips the glob over every shard directory.
             self.temp_files_swept += self._sweep_orphans(cache, ())
-        return merger.result()
+        return [results[index] for index in range(len(configs))]
 
     @staticmethod
     def _sweep_orphans(cache: ResultCache,
@@ -626,19 +679,18 @@ class ClusterExecutor:
         return swept
 
     # ------------------------------------------------------------------ #
-    def _run_round(self, settings: "SweepSettings",
-                   grid: List[Tuple[str, float, int]],
-                   configs: List[ScenarioConfig],
+    def _run_round(self, configs: Sequence[ScenarioConfig],
                    units: List[List[int]], round_no: int,
-                   cache: ResultCache, merger: ShardMerger,
-                   progress: Optional[SweepProgress],
+                   cache: Optional[ResultCache],
+                   results: Dict[int, ScenarioResult],
+                   progress: Optional[ProgressCallback],
                    ) -> Tuple[List[int], List[int]]:
         """Dispatch one round of work units over pooled workers.
 
         Returns ``(failed unit indices, dead worker pids)``.  At most
         ``self.workers`` processes run concurrently; each completed
-        cell is merged the moment its frame streams back, while the
-        rest of the round is still running.  A frame doubles as the
+        cell is placed in ``results`` the moment its frame streams back,
+        while the rest of the round is still running.  A frame doubles as the
         primary liveness signal (it extends the worker's heartbeat
         deadline); the cache probe remains the fallback for workers
         whose completed cells were written but whose frames were lost.
@@ -646,10 +698,6 @@ class ClusterExecutor:
         pool = self._ensure_pool()
         faults = {fault.unit: fault for fault in self.faults
                   if fault.round == round_no}
-        serialize_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-        settings_dict = settings.to_dict()
-        self._add_stage("serialize",
-                        time.perf_counter() - serialize_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
         queued = list(enumerate(units))
         live: Dict[Connection, Tuple[int, _WorkerHandle]] = {}
         deadlines: Dict[Connection, float] = {}
@@ -681,9 +729,11 @@ class ClusterExecutor:
                     serialize_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
                     payload = json.dumps({
                         "op": "run",
-                        "settings": settings_dict,
+                        "configs": [configs[index].to_dict()
+                                    for index in cells],
                         "cells": cells,
-                        "cache_root": str(cache.root),
+                        "cache_root": (None if cache is None
+                                       else str(cache.root)),
                         "unit_index": unit_index,
                         "unit_count": len(units),
                         "fail_after_cells":
@@ -741,22 +791,27 @@ class ClusterExecutor:
                     if frame is None:
                         mark_failed(conn)
                         continue
+                    if "error" in frame:
+                        # A deterministic failure: retrying the cell on
+                        # another worker would only raise it again.
+                        raise pickle.loads(base64.b64decode(frame["error"]))
                     if "cell" in frame:
                         index = int(frame["cell"])
                         result = ScenarioResult.from_dict(frame["result"])
                         merge_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                        merger.add_results({index: result})
+                        results[index] = result
                         self._add_stage(
                             "merge", time.perf_counter() - merge_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
                         self._add_stage("simulate",
                                         float(frame.get("sim_s", 0.0)))
                         self.cells_streamed += 1
+                        self.simulations_run += 1
                         if conn in deadlines:
                             # A frame is progress; no cache probe needed.
                             deadlines[conn] = (time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
                                                + self.worker_timeout)
-                        self._report(settings, grid, {index: result},
-                                     progress)
+                        if progress is not None:
+                            progress(index, configs[index], result)
                         continue
                     # Done frame: the unit is complete; the worker is
                     # warm and idle again.
@@ -780,7 +835,7 @@ class ClusterExecutor:
                     # stale entries left by an older version (which made
                     # these cells pending in the first place) never
                     # count as progress — only cells this run wrote do.
-                    cached = sum(
+                    cached = 0 if cache is None else sum(
                         1 for index in unit_cells[conn]
                         if cache.has_current(configs[index]))
                     if cached > cached_counts[conn]:
@@ -793,18 +848,6 @@ class ClusterExecutor:
                 _unit_index, handle = live.pop(conn)
                 pool.discard(handle)
         return failed_units, dead_pids
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _report(settings: "SweepSettings",
-                grid: List[Tuple[str, float, int]],
-                results: Dict[int, ScenarioResult],
-                progress: Optional[SweepProgress]) -> None:
-        if progress is None:
-            return
-        for index in sorted(results):
-            protocol, speed, replication = grid[index]
-            progress(protocol, speed, replication, results[index])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ClusterExecutor(shards={self.shards}, "

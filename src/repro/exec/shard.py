@@ -248,9 +248,9 @@ def assemble_sweep_result(settings: "SweepSettings",
     ``settings.grid()``) to results and must cover the grid exactly.
     Assembly is always in canonical grid order, which is what makes
     sweep artifacts bit-for-bit independent of the execution strategy —
-    serial, parallel, sharded, or scheduled.  This is the one assembly
-    path shared by :func:`~repro.experiments.sweep.run_speed_sweep`,
-    :func:`merge_shard_results` and the streaming scheduler.
+    serial, pooled, or sharded.  This is the one assembly path shared by
+    :func:`~repro.experiments.sweep.run_speed_sweep` (whatever its
+    executor) and :func:`merge_shard_results`.
     """
     from repro.experiments.sweep import SweepResult
     grid = settings.grid()
@@ -287,14 +287,12 @@ class ShardMerger:
     """Incremental, validating accumulator of sweep cells.
 
     Shard artifacts (or raw per-cell result mappings) are added one at a
-    time — in any order, as they stream back from workers — and the full
+    time, in any order, and the full
     :class:`~repro.experiments.sweep.SweepResult` is produced once the
     grid is covered.  Unlike :func:`merge_shard_results`, the merger does
     not require the pieces to follow the planner's K-way assignment:
     only settings equality, per-cell uniqueness, and (at :meth:`result`
-    time) exact grid coverage are enforced, which is what a rebalancing
-    scheduler needs when a crashed shard's surviving cells come back
-    split across new work units.
+    time) exact grid coverage are enforced.
     """
 
     def __init__(self, settings: "SweepSettings") -> None:

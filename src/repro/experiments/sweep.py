@@ -7,10 +7,11 @@ grid; every figure module then extracts its own metric from the shared
 :class:`SweepResult` so the expensive simulations are run only once.
 
 The grid cells are independent simulations, so the sweep routes through
-the :mod:`repro.exec` subsystem: pass ``executor=ParallelExecutor(...)``
-to fan cells out across cores (results are bit-for-bit identical to the
-serial path) and/or ``cache=ResultCache(...)`` so re-running a sweep only
-simulates cells whose configuration changed.  :meth:`SweepResult.to_json`
+the :mod:`repro.exec` subsystem: pass ``executor=build_executor(N)`` (a
+pooled :class:`~repro.exec.ClusterExecutor`) to fan cells out across
+cores (results are bit-for-bit identical to the serial path) and/or
+``cache=ResultCache(...)`` so re-running a sweep only simulates cells
+whose configuration changed.  :meth:`SweepResult.to_json`
 / :meth:`SweepResult.save` make the whole grid a durable artifact that
 figures can be re-rendered from without re-simulating anything.
 
@@ -427,7 +428,7 @@ def run_speed_sweep(settings: Optional[SweepSettings] = None,
     executor:
         Execution strategy (see :mod:`repro.exec`); defaults to a fresh
         :class:`~repro.exec.SerialExecutor`.  A
-        :class:`~repro.exec.ParallelExecutor` produces bit-for-bit
+        :class:`~repro.exec.ClusterExecutor` produces bit-for-bit
         identical results while fanning cells out across cores.
     cache:
         Optional :class:`~repro.exec.ResultCache`; cells with a cached

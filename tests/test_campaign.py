@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import shutil
 import threading
 import types
@@ -170,6 +171,20 @@ class TestArtifactStore:
         assert index["repro_version"] == __version__
         assert store.campaigns() == ["demo"]
 
+    def test_republished_index_is_not_rewritten(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        path = store.put_index("demo", {"entries": {}})
+        # An old mtime, so a rewrite shows even on a coarse clock.
+        os.utime(path, ns=(10**18, 10**18))
+        before = path.stat()
+        assert store.put_index("demo", {"entries": {}}) == path
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) \
+            == (before.st_ino, before.st_mtime_ns)
+        store.put_index("demo", {"entries": {"smoke": {}}})
+        assert path.stat().st_ino != before.st_ino
+        assert store.get_index("demo")["entries"] == {"smoke": {}}
+
     def test_stale_index_refused_then_allowed(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         path = store.put_index("demo", {"entries": {}})
@@ -258,15 +273,27 @@ class TestScheduledCampaign:
         assert replay.simulated == 0
         assert replay.from_cache == serial.cells
 
-    def test_scheduler_is_exclusive_with_executor_and_stop_after(
-            self, tmp_path):
+    def test_scheduler_is_exclusive_with_executor(self, tmp_path):
         scheduler = ClusterExecutor(shards=1, cache=tmp_path / "cache")
         with pytest.raises(ValueError, match="not both"):
             run_campaign(tiny_spec(), executor=SerialExecutor(),
                          scheduler=scheduler)
-        with pytest.raises(ValueError, match="stop_after_cells"):
-            run_campaign(tiny_spec(), scheduler=scheduler,
-                         stop_after_cells=1)
+
+    def test_scheduled_stop_after_cells_then_resume_is_serial(
+            self, tmp_path, campaign_env):
+        """The stop-after prefix runs through any executor: exactly one
+        new entry, then a scheduled resume byte-identical to serial."""
+        spec = tiny_spec()
+        cache = ResultCache(tmp_path / "cache")
+        with ClusterExecutor(shards=2, cache=cache) as scheduler:
+            with pytest.raises(CampaignInterrupted) as interrupted:
+                run_campaign(spec, scheduler=scheduler, stop_after_cells=1)
+            assert interrupted.value.simulated == 1
+            assert len(cache) == 1
+            resume = run_campaign(spec, scheduler=scheduler)
+        assert (resume.from_cache, resume.simulated) == (1, 1)
+        assert resume.sweeps["smoke"].to_json() \
+            == campaign_env.resume.sweeps["smoke"].to_json()
 
     def test_scheduler_without_any_cache_is_refused(self):
         with pytest.raises(ValueError, match="needs a cache"):
@@ -452,8 +479,7 @@ class TestCampaignCli:
         assert "--cache" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["run"], ["status"]])
-    def test_segment_root_is_exit_2_naming_unpack(self, tmp_path, capsys,
-                                                  command):
+    def test_segment_root_is_exit_2(self, tmp_path, capsys, command):
         manifest = tmp_path / "manifest.json"
         tiny_spec().save(manifest)
         cache = tmp_path / "cache"
@@ -462,7 +488,9 @@ class TestCampaignCli:
         rc = campaign_cli.main([command[0], str(manifest),
                                 "--cache", str(cache)])
         assert rc == 2
-        assert "repro-cache unpack" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "retired layout" in err
+        assert "unpack" not in err
 
     def test_bad_manifest_is_exit_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

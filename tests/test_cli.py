@@ -215,7 +215,7 @@ class TestReproSweep:
                                "--inject-fault", "0:1"]) == 2
         assert "require --scheduler" in capsys.readouterr().err
 
-    def test_scheduler_on_a_segment_root_is_exit_2_naming_unpack(
+    def test_scheduler_on_a_segment_root_is_exit_2(
             self, tmp_path, capsys, settings_file):
         cache = tmp_path / "cache"
         (cache / "packs").mkdir(parents=True)
@@ -223,7 +223,9 @@ class TestReproSweep:
         assert sweep_cli.main(["run", "--settings-json", str(settings_file),
                                "--scheduler", "2", "--cache", str(cache),
                                "--quiet"]) == 2
-        assert "repro-cache unpack" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "retired layout" in err
+        assert "unpack" not in err
 
 
 class TestReproCache:
@@ -273,32 +275,22 @@ class TestReproCache:
         assert "not an existing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ["stats"], ["verify"], ["prune"], ["gc", "--max-size-mb", "1"],
-        ["unpack"]])
+        ["stats"], ["verify"], ["prune"], ["gc", "--max-size-mb", "1"]])
     def test_mistyped_root_is_a_hard_error(self, tmp_path, capsys, command):
         missing = tmp_path / "cahce"
         assert cache_cli.main([command[0], str(missing), *command[1:]]) == 2
         assert str(missing) in capsys.readouterr().err
         assert not missing.exists()
 
-    def test_unpack_migrates_a_segment_root(self, tmp_path, capsys,
-                                            warm_root):
-        root, config = warm_root
-        entry = root / config_key(config)[:2] / f"{config_key(config)}.json"
-        data = entry.read_bytes()
-        entry.unlink()
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["verify"], ["prune"], ["gc", "--max-size-mb", "1"]])
+    def test_segment_root_is_a_hard_error(self, capsys, warm_root, command):
+        root, _config = warm_root
         (root / "packs").mkdir()
-        header = json.dumps({"entries": {config_key(config): [0, len(data)]},
-                             "pack_format": 1}) + "\n"
-        (root / "packs" / f"{0:032x}.pack").write_bytes(
-            header.encode("utf-8") + data)
-        assert cache_cli.main(["verify", str(root)]) == 2
-        assert "repro-cache unpack" in capsys.readouterr().err
-        assert cache_cli.main(["unpack", str(root)]) == 0
-        assert "unpacked 1 entr(ies) from 1 segment(s)" \
-            in capsys.readouterr().out
-        assert entry.read_bytes() == data
-        assert cache_cli.main(["verify", str(root)]) == 0
+        (root / "packs" / f"{0:032x}.pack").write_bytes(b"{}\n")
+        assert cache_cli.main([command[0], str(root), *command[1:]]) == 2
+        assert "retired layout" in capsys.readouterr().err
+        assert len(list((root / "packs").iterdir())) == 1
 
     def test_merge_conflict_exits_nonzero(self, tmp_path, capsys, warm_root):
         root, config = warm_root

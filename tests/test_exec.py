@@ -2,8 +2,8 @@
 
 The two properties the subsystem promises:
 
-* **Determinism** — a parallel sweep is bit-for-bit identical to a serial
-  sweep of the same settings.
+* **Determinism** — a parallel (pooled ``ClusterExecutor``) run is
+  bit-for-bit identical to a serial run of the same configs.
 * **Cache round trip** — a second invocation of the same sweep against
   the same cache performs zero simulations and yields identical results.
 """
@@ -22,7 +22,7 @@ import pytest
 import repro.exec.cache as exec_cache
 from repro.exec import (
     ARTIFACT_FORMAT_VERSION,
-    ParallelExecutor,
+    ClusterExecutor,
     ResultCache,
     SerialExecutor,
     StaleArtifactError,
@@ -69,6 +69,19 @@ class TestSerialization:
     def test_config_json_round_trip(self):
         config = tiny_config(flows=[(0, 5)], mts_max_paths=3)
         assert ScenarioConfig.from_json(config.to_json()) == config
+
+    def test_every_profile_cell_keeps_its_key_through_json(self):
+        """The pooled executor ships configs to its workers as JSON and
+        finds their results again by cache key: a key that drifted in
+        the round trip would hide every recovered cell."""
+        configs = [config for factory in SWEEP_PROFILES.values()
+                   for config in factory().cell_configs()]
+        assert configs
+        for config in configs:
+            wired = ScenarioConfig.from_dict(
+                json.loads(json.dumps(config.to_dict())))
+            assert wired == config
+            assert config_key(wired) == config_key(config)
 
     def test_config_round_trip_with_static_positions(self):
         config = ScenarioConfig(protocol="AODV", n_nodes=3,
@@ -286,7 +299,7 @@ class TestExecutors:
 
     def test_parallel_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=0)
+            ClusterExecutor(workers=0)
 
     def test_resolve_executor_defaults_to_serial(self, tmp_path):
         executor = resolve_executor(None, None)
@@ -311,24 +324,91 @@ class TestExecutors:
     def test_build_executor_factory(self, tmp_path):
         assert isinstance(build_executor(1), SerialExecutor)
         parallel = build_executor(3, tmp_path / "cache")
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.max_workers == 3
+        assert isinstance(parallel, ClusterExecutor)
+        # A pool of 3 workers fed one cell per unit, not 3 hashed shards.
+        assert parallel.workers == 3
+        assert parallel.shards is None
         assert isinstance(parallel.cache, ResultCache)
         # 0 = one worker per core; on a single-core box that is serial.
         auto = build_executor(0)
-        assert isinstance(auto, (SerialExecutor, ParallelExecutor))
+        assert isinstance(auto, (SerialExecutor, ClusterExecutor))
         with pytest.raises(ValueError):
             build_executor(-1)
 
     def test_parallel_sweep_identical_to_serial(self, smoke_serial):
-        """ISSUE requirement: ParallelExecutor and SerialExecutor produce
-        identical SweepResult.rows() for SweepSettings.smoke()."""
-        parallel = run_speed_sweep(SweepSettings.smoke(),
-                                   executor=ParallelExecutor(max_workers=2))
-        assert (json.dumps(parallel.rows())
-                == json.dumps(smoke_serial.rows()))
-        # Identical beyond the aggregates: every individual run matches.
-        assert parallel.runs == smoke_serial.runs
+        """The smoke sweep through ``build_executor(2)`` is byte-identical
+        to the serial sweep."""
+        with build_executor(2) as executor:
+            parallel = run_speed_sweep(SweepSettings.smoke(),
+                                       executor=executor)
+            assert executor.simulations_run == len(
+                SweepSettings.smoke().grid())
+        assert parallel.to_json() == smoke_serial.to_json()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pooled_executor_matches_serial_on_any_config_list(
+            self, tmp_path, cached):
+        """Not a sweep grid: replications with a repeated seed, in and
+        out of a cache, plus ``run_one``."""
+        base = tiny_config(sim_time=2.0)
+        seeds = [base.seed, base.seed + 1000, base.seed]
+        _, serial = run_replications(base, 3, seeds=seeds,
+                                     executor=SerialExecutor())
+        cache = ResultCache(tmp_path / "cache") if cached else None
+        seen = []
+        with ClusterExecutor(shards=2, cache=cache) as executor:
+            _, pooled = run_replications(base, 3, seeds=seeds,
+                                         executor=executor)
+            assert pooled == serial
+            assert executor.simulations_run == 3
+            assert executor.run_one(base) == serial[0]
+            executor.run([base], progress=lambda *cell: seen.append(cell))
+        assert seen == [(0, base, serial[0])]
+        if cached:
+            # Both replays were cache hits; the duplicate shares one entry.
+            assert executor.simulations_run == 3
+            assert len(cache) == 2
+
+    def test_pooled_executor_queues_one_cell_per_unit(self):
+        configs = [tiny_config(sim_time=1.0, seed=seed)
+                   for seed in range(1, 6)]
+        with build_executor(2) as executor:
+            assert executor.run(configs) == SerialExecutor().run(configs)
+            assert executor.workers_launched == len(configs)
+            assert executor.workers_spawned <= 2
+            assert executor.rounds == 1
+
+    def test_cacheless_pool_resimulates_a_dead_workers_cells(self):
+        """Without a cache nothing is written: the cell a killed worker
+        finished but did not stream is simulated again."""
+        from repro.exec.scheduler import FaultInjection
+        configs = [tiny_config(sim_time=1.0, seed=seed)
+                   for seed in range(1, 5)]
+        with ClusterExecutor(shards=None, workers=2, max_retries=1,
+                             faults=[FaultInjection(unit=0, after_cells=1)],
+                             ) as executor:
+            assert executor.run(configs) == SerialExecutor().run(configs)
+            assert executor.worker_failures == 1
+            assert executor.cells_from_cache == 0
+            assert executor.simulations_run == len(configs)
+            assert executor.stage_seconds["lookup"] == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_config_raises_its_own_error(self, tmp_path, workers):
+        """A config the builder rejects raises the same exception through
+        the pool as in-process, at once: a deterministic failure is not
+        retried as if the worker had crashed."""
+        bad = tiny_config(sim_time=1.0, flows=[(0, 5)], eavesdropper_node=0)
+        configs = [tiny_config(sim_time=1.0), bad]
+        with build_executor(workers, tmp_path / "cache") as executor:
+            with pytest.raises(ValueError, match="flow endpoint"):
+                executor.run(configs)
+            if workers > 1:
+                assert executor.rounds == 0
+                assert executor.worker_failures == 0
+            # The executor stays usable after the failed run.
+            assert executor.run(configs[:1]) == SerialExecutor().run(
+                configs[:1])
 
     def test_run_replications_accepts_executor(self):
         aggregate, results = run_replications(tiny_config(), replications=2,
@@ -545,104 +625,39 @@ class TestCacheMaintenance:
         assert path_a.read_text() == original + " "  # destination kept
 
 
-def write_segment(root, entries):
-    """Write a retired packed segment by hand: one JSON header line with
-    the ``key -> [offset, length]`` index, then the entry bytes."""
-    index, offset = {}, 0
-    for key, data in entries:
-        index[key] = [offset, len(data)]
-        offset += len(data)
-    header = json.dumps({"entries": index, "pack_format": 1},
-                        sort_keys=True, separators=(",", ":")) + "\n"
-    packs = root / "packs"
-    packs.mkdir(parents=True, exist_ok=True)
-    path = packs / f"{len(list(packs.glob('*.pack'))):032x}.pack"
-    path.write_bytes(header.encode("utf-8")
-                     + b"".join(data for _key, data in entries))
-    return path
+class TestRetiredSegments:
+    """Nothing reads the retired packed-segment layout any more: a root
+    that still holds segments is refused rather than re-simulated in
+    silence, and the refusal names no deleted command."""
+
+    def segment_root(self, tmp_path):
+        root = tmp_path / "packed"
+        (root / "packs").mkdir(parents=True)
+        (root / "packs" / f"{0:032x}.pack").write_text("{}\n")
+        return root
+
+    def test_cache_refuses_a_root_holding_segments(self, tmp_path):
+        with pytest.raises(ValueError, match="retired layout") as excinfo:
+            ResultCache(self.segment_root(tmp_path))
+        assert "unpack" not in str(excinfo.value)
+
+    def test_merge_from_segment_source_is_refused(self, tmp_path):
+        dest = ResultCache(tmp_path / "dest")
+        with pytest.raises(ValueError, match="retired layout"):
+            dest.merge_from(self.segment_root(tmp_path))
+        assert len(dest) == 0
 
 
 class TestSegmentMigration:
-    """The one-way migration off the retired packed-segment layout.
+    """After the segment layout's retirement, :class:`CacheStats` keeps
+    its ``packs``/``packed_entries`` fields for readers of its JSON; on
+    every root the cache can open they read zero."""
 
-    ``unpack_segments`` (``repro-cache unpack``) turns every segment into
-    byte-identical loose entries; until then ``ResultCache`` refuses the
-    root rather than re-simulating its entries in silence.
-    """
-
-    @pytest.fixture()
-    def loose_bytes(self, tmp_path, tiny_result):
-        """``key -> entry bytes`` exactly as ``put`` writes them."""
-        source = ResultCache(tmp_path / "source")
-        return {config_key(tiny_config(seed=seed)):
-                source.put(tiny_config(seed=seed), tiny_result).read_bytes()
-                for seed in (1, 2, 3)}
-
-    def test_unpack_restores_byte_identical_loose_entries(
-            self, tmp_path, tiny_result, loose_bytes):
-        root = tmp_path / "cache"
-        items = sorted(loose_bytes.items())
-        write_segment(root, items[:2])
-        write_segment(root, items[2:])
-        assert exec_cache.unpack_segments(root) == (2, 3, [])
-        assert not (root / "packs").exists()
-        cache = ResultCache(root)
-        assert {path.stem: path.read_bytes()
-                for path in cache._entry_files()} == loose_bytes
-        configs = [tiny_config(seed=seed) for seed in (1, 2, 3)]
-        hits, misses = cache.lookup(configs)
-        assert misses == []
-        assert list(hits.values()) == [tiny_result] * 3
-        assert all(cache.has_current(config) for config in configs)
-        assert cache.verify() == []
-
-    def test_cache_refuses_a_root_holding_segments(self, tmp_path,
-                                                   loose_bytes):
-        root = tmp_path / "cache"
-        write_segment(root, sorted(loose_bytes.items()))
-        with pytest.raises(ValueError, match="repro-cache unpack"):
-            ResultCache(root)
-
-    def test_unpack_leaves_a_corrupt_segment_and_reports_it(self, tmp_path):
-        root = tmp_path / "cache"
-        (root / "packs").mkdir(parents=True)
-        bad = root / "packs" / f"{0:032x}.pack"
-        bad.write_bytes(b"not a header\ngarbage")
-        assert exec_cache.unpack_segments(root) == (0, 0, [bad])
-        assert bad.exists()                          # never deleted silently
-        with pytest.raises(ValueError, match="unpack"):
-            ResultCache(root)
-
-    def test_unpack_drops_a_truncated_entry(self, tmp_path, loose_bytes):
-        root = tmp_path / "cache"
-        items = sorted(loose_bytes.items())
-        segment = write_segment(root, items)
-        # Truncate the segment: the last entry's span runs past EOF.
-        segment.write_bytes(segment.read_bytes()[:-20])
-        # An existing loose entry wins over its packed duplicate.
-        kept = root / items[0][0][:2] / f"{items[0][0]}.json"
-        kept.parent.mkdir(parents=True)
-        kept.write_bytes(b"newer")
-        assert exec_cache.unpack_segments(root) == (1, 1, [])
-        cache = ResultCache(root)
-        assert {path.stem: path.read_bytes()
-                for path in cache._entry_files()} \
-            == {items[0][0]: b"newer", items[1][0]: items[1][1]}
-
-    def test_merge_from_segment_source_names_unpack(self, tmp_path,
-                                                    loose_bytes):
-        source = tmp_path / "source-packed"
-        write_segment(source, sorted(loose_bytes.items()))
-        dest = ResultCache(tmp_path / "dest")
-        with pytest.raises(ValueError, match="repro-cache unpack"):
-            dest.merge_from(source)
-        assert len(dest) == 0
-
-    def test_stats_packed_fields_stay_zero(self, tmp_path, loose_bytes):
-        root = tmp_path / "cache"
-        write_segment(root, sorted(loose_bytes.items()))
-        exec_cache.unpack_segments(root)
-        stats = ResultCache(root).stats()
+    def test_stats_packed_fields_stay_zero(self, tmp_path, tiny_result):
+        cache = ResultCache(tmp_path / "cache")
+        for seed in (1, 2, 3):
+            cache.put(tiny_config(seed=seed), tiny_result)
+        stats = ResultCache(cache.root).stats()
         assert (stats.entries, stats.current) == (3, 3)
         assert (stats.packs, stats.packed_entries) == (0, 0)
 
