@@ -23,7 +23,7 @@ from repro.scenario import ScenarioConfig, run_scenario
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--protocol", default="MTS",
-                        choices=["MTS", "DSR", "AODV", "AOMDV"],
+                        choices=["MTS", "DSR", "AODV"],
                         help="routing protocol to simulate")
     parser.add_argument("--speed", type=float, default=10.0,
                         help="maximum node speed in m/s")

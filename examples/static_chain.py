@@ -47,7 +47,7 @@ POSITIONS = [
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--protocol", default="MTS",
-                        choices=["MTS", "DSR", "AODV", "AOMDV"])
+                        choices=["MTS", "DSR", "AODV"])
     parser.add_argument("--sim-time", type=float, default=30.0)
     args = parser.parse_args()
 

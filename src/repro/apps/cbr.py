@@ -74,8 +74,3 @@ class CbrApplication:
         self.udp.send(self.packet_size)
         self.packets_generated += 1
         self.sim.schedule(self.interval, self._send_next)
-
-    @property
-    def rate_bps(self) -> float:
-        """Offered load in bits per second."""
-        return 8.0 * self.packet_size / self.interval

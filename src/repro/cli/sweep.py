@@ -105,8 +105,7 @@ def apply_propagation_overrides(settings: SweepSettings,
                                 ) -> SweepSettings:
     """Apply ``--propagation`` / ``--propagation-param`` to ``settings``.
 
-    Shared by ``repro-sweep`` and ``reproduce_figures.py``.  Raises
-    :class:`ValueError` (with the registry's did-you-mean messages) on
+    Raises :class:`ValueError` (with the registry's did-you-mean messages) on
     bad model or param names, before any cell is planned or dispatched.
     """
     if propagation is None and not raw_params:
@@ -144,9 +143,7 @@ def _load_settings(args: argparse.Namespace) -> SweepSettings:
 def add_propagation_options(parser: argparse.ArgumentParser) -> None:
     """Add ``--propagation`` / ``--propagation-param`` to ``parser``.
 
-    The single definition shared by ``repro-sweep`` and
-    ``reproduce_figures.py``; pair with
-    :func:`apply_propagation_overrides`.
+    Pair with :func:`apply_propagation_overrides`.
     """
     parser.add_argument("--propagation", metavar="MODEL", default=None,
                         choices=PROPAGATION.available(),

@@ -56,7 +56,7 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # registry self-registration (see repro.registry)
 # ---------------------------------------------------------------------- #
-# MTS registers here, in its home package, next to the DSR/AODV/AOMDV
+# MTS registers here, in its home package, next to the DSR/AODV
 # registrations in repro.routing — registering it from repro.routing
 # would be a circular import (repro.core.mts builds on
 # repro.routing.base).

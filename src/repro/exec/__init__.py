@@ -64,7 +64,6 @@ _EXPORTS = {
     "run_sweep_shard": "repro.exec.shard",
     "shard_of_config": "repro.exec.shard",
     "shard_of_key": "repro.exec.shard",
-    "sweep_from_cache": "repro.exec.shard",
     "ClusterExecutor": "repro.exec.scheduler",
     "FaultInjection": "repro.exec.scheduler",
     "SchedulerError": "repro.exec.scheduler",

@@ -217,11 +217,13 @@ def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
     submitted config list and their ``config.to_dict()`` forms), the
     shared cache root (``None``: write nothing), and the optional
     fault-injection hook.  Each completed cell is written to the cache
-    and then sent back as its own frame, so an injected kill — which lands after the write and
-    withholds the fatal cell's frame — leaves exactly the on-disk state
-    of a real crash-after-write: the executor recovers that cell from
-    the cache next round.  The result is serialized once, for both the
-    cache entry and the frame.
+    and then sent back as its own frame, so an injected kill — which
+    lands after the write and withholds the fatal cell's frame — leaves
+    exactly the on-disk state of a real crash-after-write: the executor
+    recovers that cell from the cache next round.  The result is
+    serialized once, for both the cache entry and the frame.  The last
+    cell's frame also carries ``done`` and the unit's ``cache_write_s``,
+    so a unit costs exactly one frame per cell.
 
     A cell that raises (a config the builder rejects, a failed cache
     write) ends the unit with an error frame carrying the pickled
@@ -258,13 +260,12 @@ def _run_pool_unit(conn: Connection, payload: Dict[str, Any]) -> None:
                     time.sleep(3600.0)
             conn.close()
             os._exit(FAULT_EXIT_CODE)
-        frame = json.dumps({"cell": indices[position],
-                            "result": result_dict,
-                            "sim_s": sim_s}, sort_keys=True)
-        conn.send_bytes(frame.encode("utf-8"))
-    done = json.dumps({"done": payload["unit_index"],
-                       "cache_write_s": cache_write_s}, sort_keys=True)
-    conn.send_bytes(done.encode("utf-8"))
+        frame: Dict[str, Any] = {"cell": indices[position],
+                                 "result": result_dict, "sim_s": sim_s}
+        if position + 1 == len(configs):
+            frame["done"] = payload["unit_index"]
+            frame["cache_write_s"] = cache_write_s
+        conn.send_bytes(json.dumps(frame, sort_keys=True).encode("utf-8"))
 
 
 def _error_frame(cell: int, exc: Exception) -> bytes:
@@ -795,31 +796,30 @@ class ClusterExecutor(Executor):
                         # A deterministic failure: retrying the cell on
                         # another worker would only raise it again.
                         raise pickle.loads(base64.b64decode(frame["error"]))
-                    if "cell" in frame:
-                        index = int(frame["cell"])
-                        result = ScenarioResult.from_dict(frame["result"])
-                        merge_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                        results[index] = result
-                        self._add_stage(
-                            "merge", time.perf_counter() - merge_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
-                        self._add_stage("simulate",
-                                        float(frame.get("sim_s", 0.0)))
-                        self.cells_streamed += 1
-                        self.simulations_run += 1
-                        if conn in deadlines:
-                            # A frame is progress; no cache probe needed.
-                            deadlines[conn] = (time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
-                                               + self.worker_timeout)
-                        if progress is not None:
-                            progress(index, configs[index], result)
-                        continue
-                    # Done frame: the unit is complete; the worker is
-                    # warm and idle again.
-                    self._add_stage("cache_write",
-                                    float(frame.get("cache_write_s", 0.0)))
-                    del live[conn]
-                    deadlines.pop(conn, None)
-                    pool.release(handle)
+                    index = int(frame["cell"])
+                    result = ScenarioResult.from_dict(frame["result"])
+                    merge_started = time.perf_counter()  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                    results[index] = result
+                    self._add_stage(
+                        "merge", time.perf_counter() - merge_started)  # repro-lint: ignore[D-wallclock] stage timing only, never a result input
+                    self._add_stage("simulate",
+                                    float(frame.get("sim_s", 0.0)))
+                    self.cells_streamed += 1
+                    self.simulations_run += 1
+                    if "done" in frame:
+                        # The unit's last cell: the worker is warm and
+                        # idle again.
+                        self._add_stage("cache_write",
+                                        float(frame["cache_write_s"]))
+                        del live[conn]
+                        deadlines.pop(conn, None)
+                        pool.release(handle)
+                    elif conn in deadlines:
+                        # A frame is progress; no cache probe needed.
+                        deadlines[conn] = (time.monotonic()  # repro-lint: ignore[D-wallclock] liveness only
+                                           + self.worker_timeout)
+                    if progress is not None:
+                        progress(index, configs[index], result)
                 # Heartbeat check.  A worker past its deadline gets one
                 # question: did new cells of its unit land in the shared
                 # cache since the last check?  If yes it is healthy but

@@ -265,24 +265,6 @@ def assemble_sweep_result(settings: "SweepSettings",
     return SweepResult(settings=settings, aggregates=aggregates, runs=runs)
 
 
-def sweep_from_cache(settings: "SweepSettings", cache: ResultCache,
-                     ) -> Tuple[Optional["SweepResult"], List[int]]:
-    """Assemble the full sweep purely from cache hits — zero simulations.
-
-    Returns ``(sweep, missing)``: when every grid cell of ``settings``
-    is cached, ``sweep`` is the assembled :class:`SweepResult` (byte
-    identical to a fresh run, since :func:`assemble_sweep_result` is the
-    one canonical assembly path) and ``missing`` is empty; otherwise
-    ``sweep`` is ``None`` and ``missing`` lists the canonical grid
-    indices that would have to be simulated.  This is the query layer's
-    primitive: serving a figure is a cache walk, never a run.
-    """
-    hits, misses = cache.lookup(settings.cell_configs())
-    if misses:
-        return None, misses
-    return assemble_sweep_result(settings, hits), []
-
-
 class ShardMerger:
     """Incremental, validating accumulator of sweep cells.
 

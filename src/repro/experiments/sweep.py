@@ -138,10 +138,10 @@ class SweepSettings:
         Random-waypoint legs run at 20–35 m/s with a 0.1 s pause, so
         trajectory segments turn over an order of magnitude faster than
         under the paper's settings.  This is the stress workload for the
-        mobility-driven SoA kinematics in
-        :class:`~repro.net.channel.WirelessChannel`: segment pushes and
-        expiry refreshes happen constantly instead of being amortised
-        away, and route breakage keeps the routing layers busy.
+        segment-driven SoA kinematics in
+        :class:`~repro.net.channel.WirelessChannel`: expiry refreshes
+        happen constantly instead of being amortised away, and route
+        breakage keeps the routing layers busy.
         """
         config = dict(n_nodes=50, field_size=(1000.0, 1000.0),
                       sim_time=50.0, min_speed=20.0, pause_time=0.1)

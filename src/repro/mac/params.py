@@ -131,15 +131,3 @@ class MacParams:
         """NAV duration advertised by a CTS: DATA + ACK + 2×SIFS."""
         return (2 * self.sifs + self.frame_duration(data_size_bytes)
                 + self.ack_duration())
-
-    @classmethod
-    def ieee80211b_full_rate(cls) -> "MacParams":
-        """802.11b at the full 11 Mb/s data rate."""
-        return cls(data_rate=11e6)
-
-    @classmethod
-    def fast_test_params(cls) -> "MacParams":
-        """Exaggerated timing useful in unit tests (large, round numbers)."""
-        return cls(slot_time=1e-3, sifs=0.5e-3, difs=2e-3, cw_min=3,
-                   cw_max=15, data_rate=1e6, basic_rate=1e6,
-                   phy_overhead=0.0, retry_limit=3)

@@ -146,10 +146,6 @@ class MetricsCollector:
         """Total routing control transmissions (paper Figure 11)."""
         return sum(self.control_sent.values())
 
-    def tcp_data_originated(self) -> int:
-        """TCP data segments originated (transmissions, incl. retransmits)."""
-        return self.data_originated.get(PacketKind.TCP, 0)
-
     def tcp_data_delivered(self) -> int:
         """TCP data segments delivered (transmissions, incl. duplicates)."""
         return self.data_delivered.get(PacketKind.TCP, 0)

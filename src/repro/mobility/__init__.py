@@ -10,20 +10,17 @@ periodic movement events, which keeps the event queue free of mobility
 ticks (a performance idiom borrowed from NS-2's setdest trace playback).
 
 Also provided: :class:`~repro.mobility.base.StaticMobility` (fixed
-positions, used heavily by tests and topology examples) and
-:class:`~repro.mobility.random_walk.RandomWalk`.
+positions, used heavily by tests and topology examples).
 """
 
 from repro.mobility.base import MobilityModel, StaticMobility, Waypoint
 from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.random_walk import RandomWalk
 
 __all__ = [
     "MobilityModel",
     "StaticMobility",
     "Waypoint",
     "RandomWaypoint",
-    "RandomWalk",
 ]
 
 
@@ -33,7 +30,7 @@ __all__ = [
 # Factories receive the per-node RNG stream and node id; they must draw
 # from the RNG in exactly the order the historical builder did (static
 # placement draws two uniforms) so existing scenarios stay bit-for-bit.
-from repro.registry import MOBILITY, Param  # noqa: E402
+from repro.registry import MOBILITY  # noqa: E402
 
 
 @MOBILITY.register("static", params=(),
@@ -46,15 +43,6 @@ def _make_static(config, params, *, rng, node_id):
         x = float(rng.uniform(0, config.field_size[0]))
         y = float(rng.uniform(0, config.field_size[1]))
     return StaticMobility(x, y)
-
-
-@MOBILITY.register("random_walk", params=(
-    Param("leg_duration", (float,), "seconds per straight-line leg"),
-), description="random direction walk with boundary reflection")
-def _make_random_walk(config, params, *, rng, node_id):
-    return RandomWalk(rng, field_size=config.field_size,
-                      max_speed=config.max_speed,
-                      min_speed=config.min_speed, **params)
 
 
 @MOBILITY.register("random_waypoint", params=(),

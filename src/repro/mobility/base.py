@@ -2,9 +2,9 @@
 
 Every model describes its motion as :class:`Waypoint` segments: besides
 :meth:`MobilityModel.position` it implements the abstract
-:meth:`MobilityModel.segment_at`, and it pushes segment changes into the
-channel's structure-of-arrays kinematics through the
-:meth:`MobilityModel.bind_kinematics` hook.  The channel therefore holds
+:meth:`MobilityModel.segment_at`.  The channel loads each node's
+covering segment into its structure-of-arrays kinematics and reloads it
+from ``segment_at`` once the segment's span has ended, so it holds
 *exact* closed-form positions (origin + velocity + segment span) for
 every node; a model without ``segment_at`` cannot be instantiated.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,12 +46,6 @@ class Waypoint:
 class MobilityModel(ABC):
     """Position of one node as a function of simulation time."""
 
-    #: Channel push hook + slot, set by :meth:`bind_kinematics`.
-    _kin_push: Optional[Callable[[int, "Waypoint"], None]] = None
-    _kin_index: int = -1
-    #: Last segment index pushed (so a push fires once per segment change).
-    _kin_pushed_index: int = -1
-
     @abstractmethod
     def position(self, time: float) -> Tuple[float, float]:
         """The node's ``(x, y)`` position at ``time`` seconds."""
@@ -68,20 +62,6 @@ class MobilityModel(ABC):
         ``start_time <= time < end_time``, and its interpolation equals
         :meth:`position` at every time it covers.
         """
-
-    def bind_kinematics(self, push: Callable[[int, "Waypoint"], None],
-                        index: int) -> None:
-        """Register the channel's segment-push hook for this node.
-
-        ``push(index, segment)`` is called (best effort) whenever a
-        position query lands in a different segment than the last one
-        pushed.  Freshness does not *depend* on pushes — the channel also
-        refreshes entries whose segment span has expired — they just keep
-        the SoA arrays current without polling.
-        """
-        self._kin_push = push
-        self._kin_index = index
-        self._kin_pushed_index = -1
 
 
 class StaticMobility(MobilityModel):

@@ -159,10 +159,6 @@ class RandomWaypoint(MobilityModel):
                 index = 0
             self._cached_index = index
         seg = self._segments[index]
-        if self._kin_push is not None and index != self._kin_pushed_index:
-            # Segment change: push it into the channel's SoA kinematics.
-            self._kin_pushed_index = index
-            self._kin_push(self._kin_index, seg)
         start_time = seg.start_time
         end_time = seg.end_time
         start_pos = seg.start_pos
@@ -192,16 +188,13 @@ class RandomWaypoint(MobilityModel):
     def segment_at(self, time: float) -> Waypoint:
         """The waypoint segment covering ``time`` (extends the trajectory).
 
-        Used by the channel to (re)load a node's SoA kinematics entry
-        directly, so the returned index counts as pushed.
+        Used by the channel to (re)load a node's SoA kinematics entry.
         """
         if time < 0:
             time = 0.0
         if time >= self._trajectory_end:
             self._extend_to(time + self._EXTEND_CHUNK)
-        index = self._segment_index(time)
-        self._kin_pushed_index = index
-        return self._segments[index]
+        return self._segments[self._segment_index(time)]
 
     def segments_until(self, time: float) -> List[Waypoint]:
         """All waypoint segments covering ``[0, time]`` (for inspection)."""

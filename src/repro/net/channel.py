@@ -26,8 +26,8 @@ result — is bit-for-bit identical to the historical full scan.
    trajectory segments (:meth:`~repro.mobility.base.MobilityModel.segment_at`
    is part of the model contract), so the channel holds exact *SoA
    kinematics*: per-interface segment entries (span, endpoints,
-   velocity) pushed by the mobility layer at segment changes and
-   refreshed on expiry.  Closed-form positions at the current time are
+   velocity) loaded from each model's ``segment_at`` and reloaded once
+   their span has ended.  Closed-form positions at the current time are
    therefore always exact, and the prefilter radius is the detection
    range plus only a float-rounding margin, so the squared-distance pass
    over the candidate block is conservative: nothing the exact
@@ -154,8 +154,8 @@ class WirelessChannel:
         self.grid_rebuilds: int = 0
         #: Count of full SoA kinematics builds.
         self.pos_refreshes: int = 0
-        #: Count of SoA kinematics entry writes (mobility pushes, expiry
-        #: refreshes, and full-build loads).
+        #: Count of SoA kinematics entry writes (full-build loads and
+        #: expiry refreshes).
         self.snapshot_invalidations: int = 0
         #: Sum / maximum of candidate-set sizes over all transmissions
         #: (instrumentation; candidate sets include the sender itself).
@@ -218,9 +218,7 @@ class WirelessChannel:
         """Invalidate the SoA kinematics state.
 
         The next transmission rebuilds the arrays over the current
-        interface population and re-binds every mobility model's push
-        hook.  Pushes arriving while the state is torn down are ignored
-        (the rebuild reloads every entry anyway).
+        interface population.
         """
         self._kin_ready = False
 
@@ -296,7 +294,7 @@ class WirelessChannel:
         self.grid_rebuilds += 1
 
     # ------------------------------------------------------------------ #
-    # SoA kinematics (exact positions pushed from the mobility layer)
+    # SoA kinematics (exact positions from the mobility segments)
     # ------------------------------------------------------------------ #
     def _build_kinematics(self, now: float) -> None:
         """Build the SoA arrays over the current interface population.
@@ -304,8 +302,7 @@ class WirelessChannel:
         One kinematics entry per interface — segment span and endpoints
         (scalar lists, for the bit-exact fused interpolation) plus
         origin/velocity arrays (for the vectorized prefilter) — loaded
-        from each mobility model's :meth:`segment_at`, with the model's
-        push hook bound to the entry's slot.
+        from each mobility model's :meth:`segment_at`.
         """
         n = len(self._interfaces)
         self._kin_st = [0.0] * n
@@ -322,28 +319,13 @@ class WirelessChannel:
         self._kin_et_arr = np.full(n, math.inf)
         self._kin_min_end = math.inf
         self._kin_ready = True
-        push = self.push_segment
         for index, interface in enumerate(self._interfaces):
             mobility = interface.node.mobility
             if mobility is None:
                 self._write_kin_entry(index, _ORIGIN_SEGMENT)
             else:
-                mobility.bind_kinematics(push, index)
                 self._write_kin_entry(index, mobility.segment_at(now))
         self.pos_refreshes += 1
-
-    def push_segment(self, index: int, segment: Waypoint) -> None:
-        """Mobility push hook: (re)load one interface's kinematics entry.
-
-        Called by bound mobility models whenever a position query lands in
-        a new segment.  Ignored while the kinematics state is torn down
-        (the rebuild reloads everything) and for segments that start in
-        the future (the entry it would replace still covers ``now``; the
-        expiry sweep picks the new segment up in time).
-        """
-        if not self._kin_ready or segment.start_time > self.sim.now:
-            return
-        self._write_kin_entry(index, segment)
 
     def _write_kin_entry(self, index: int, segment: Waypoint) -> None:
         st = segment.start_time
@@ -482,7 +464,7 @@ class WirelessChannel:
             # prefilter; lower is better.
             "prefilter_hit_rate": (self.refined_total / self.candidate_total
                                    if self.candidate_total else 0.0),
-            # Kinematics entry writes (pushes + expiry refreshes + builds).
+            # Kinematics entry writes (builds + expiry refreshes).
             "snapshot_invalidations": float(self.snapshot_invalidations),
             # 1.0 while the SoA kinematics state is built (0.0 before the
             # first transmission and after a registration).

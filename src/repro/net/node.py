@@ -95,10 +95,6 @@ class Node:
         """Register an application (for bookkeeping/start-stop control)."""
         self.applications.append(app)
 
-    def add_promiscuous_listener(self, listener) -> None:
-        """Register a promiscuous frame listener (e.g. the eavesdropper monitor)."""
-        self.promiscuous_listeners.append(listener)
-
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
@@ -114,12 +110,6 @@ class Node:
         self._position_time = time
         self._position = position
         return position
-
-    def distance_to(self, other: "Node", time: Optional[float] = None) -> float:
-        """Euclidean distance to ``other`` at ``time`` (default: now)."""
-        ax, ay = self.position(time)
-        bx, by = other.position(time)
-        return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
 
     # ------------------------------------------------------------------ #
     # downcalls (towards the radio)

@@ -7,9 +7,9 @@ from a :class:`~repro.scenario.config.ScenarioConfig`.  This package
 turns the whole stack into data: one :class:`ComponentRegistry` per
 layer —
 
-* :data:`MOBILITY`     — ``static`` / ``random_walk`` / ``random_waypoint``
+* :data:`MOBILITY`     — ``static`` / ``random_waypoint``
 * :data:`PROPAGATION`  — ``range`` / ``two_ray`` / ``log_distance_shadowing``
-* :data:`ROUTING`      — ``MTS`` / ``DSR`` / ``AODV`` / ``AOMDV``
+* :data:`ROUTING`      — ``MTS`` / ``DSR`` / ``AODV``
 * :data:`TRANSPORT`    — ``tcp_reno`` / ``udp``
 * :data:`APPLICATION`  — ``ftp`` / ``cbr``
 

@@ -1,11 +1,8 @@
-"""Routing protocols: the DSR and AODV baselines plus an AOMDV variant.
+"""Routing protocols: the DSR and AODV baselines.
 
 The paper compares its MTS protocol (see :mod:`repro.core`) against DSR
 and AODV, so both baselines are implemented here on top of the common
-:class:`~repro.routing.base.RoutingAgent` machinery.  AOMDV-style
-multipath distance vector routing is included as an extra baseline for the
-ablation benchmarks (the paper cites it as the origin of MTS's
-disjoint-path rule).
+:class:`~repro.routing.base.RoutingAgent` machinery.
 """
 
 from repro.routing.base import RoutingAgent, RoutingConfig
@@ -19,7 +16,6 @@ from repro.routing.packets import (
 )
 from repro.routing.dsr import DsrAgent, DsrConfig
 from repro.routing.aodv import AodvAgent, AodvConfig
-from repro.routing.aomdv import AomdvAgent, AomdvConfig
 
 __all__ = [
     "RoutingAgent",
@@ -34,8 +30,6 @@ __all__ = [
     "DsrConfig",
     "AodvAgent",
     "AodvConfig",
-    "AomdvAgent",
-    "AomdvConfig",
 ]
 
 
@@ -61,9 +55,3 @@ def _make_dsr(config, params, *, sim, node, metrics):
                   description="ad-hoc on-demand distance vector baseline")
 def _make_aodv(config, params, *, sim, node, metrics):
     return AodvAgent(sim, node, AodvConfig(**params), metrics)
-
-
-@ROUTING.register("AOMDV", params=params_from_dataclass(AomdvConfig),
-                  description="multipath AODV variant (ablation baseline)")
-def _make_aomdv(config, params, *, sim, node, metrics):
-    return AomdvAgent(sim, node, AomdvConfig(**params), metrics)

@@ -12,7 +12,7 @@ node.  The :class:`RoutingAgent` base class provides:
   one place;
 * TTL handling and common statistics.
 
-Concrete protocols (DSR, AODV, AOMDV, MTS) implement the abstract
+Concrete protocols (DSR, AODV, MTS) implement the abstract
 `_handle_*` methods.
 """
 

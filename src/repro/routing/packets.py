@@ -1,4 +1,4 @@
-"""Routing control packet headers shared by DSR, AODV, AOMDV and MTS.
+"""Routing control packet headers shared by DSR, AODV and MTS.
 
 Each header is a small dataclass stored in ``packet.headers`` under a
 well-known key (`"rreq"`, `"rrep"`, `"rerr"`, `"srcroute"`, `"check"`,

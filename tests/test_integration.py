@@ -8,7 +8,7 @@ import pytest
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.runner import build_scenario, run_scenario
 
-ALL_PROTOCOLS = ["MTS", "DSR", "AODV", "AOMDV"]
+ALL_PROTOCOLS = ["MTS", "DSR", "AODV"]
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)

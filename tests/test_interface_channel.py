@@ -466,15 +466,13 @@ def test_registry_scalar_only_model_runs_end_to_end():
 
 
 # ---------------------------------------------------------------------- #
-# SoA kinematics: mobility pushes, expiry refresh, rebuild invalidation
+# SoA kinematics: expiry refresh, rebuild invalidation
 # ---------------------------------------------------------------------- #
 class ScriptedSegments(MobilityModel):
     """Segment-providing mobility driven by an explicit waypoint list.
 
     The segments must tile time (each starts where the previous ends);
-    the last one is extended to infinity.  Mirrors RandomWaypoint's push
-    behaviour — position() pushes on segment change, segment_at() marks
-    the returned segment as pushed — with boundaries the test controls.
+    the last one is extended to infinity.
     """
 
     def __init__(self, segments):
@@ -482,7 +480,6 @@ class ScriptedSegments(MobilityModel):
         last = self._segments[-1]
         self._segments[-1] = Waypoint(last.start_time, math.inf,
                                       last.start_pos, last.end_pos)
-        self.push_calls = 0
 
     def _index_at(self, time):
         for i in reversed(range(len(self._segments))):
@@ -491,18 +488,10 @@ class ScriptedSegments(MobilityModel):
         return 0
 
     def position(self, time):
-        index = self._index_at(time)
-        seg = self._segments[index]
-        if self._kin_push is not None and index != self._kin_pushed_index:
-            self._kin_pushed_index = index
-            self.push_calls += 1
-            self._kin_push(self._kin_index, seg)
-        return seg.position(time)
+        return self._segments[self._index_at(time)].position(time)
 
     def segment_at(self, time):
-        index = self._index_at(time)
-        self._kin_pushed_index = index
-        return self._segments[index]
+        return self._segments[self._index_at(time)]
 
 
 def _kin_build(sim, mobilities, range_m=250.0):
@@ -519,21 +508,12 @@ def _kin_build(sim, mobilities, range_m=250.0):
     return channel, nodes, macs
 
 
-class NonPushingSegments(ScriptedSegments):
-    """Segment provider that never pushes (pushes are best-effort, per
-    the bind_kinematics contract): freshness must come from the
-    channel's own expiry sweep alone."""
-
-    def position(self, time):
-        return self._segments[self._index_at(time)].position(time)
-
-
 def test_kinematics_refresh_crosses_segment_boundary_without_pushes():
     """An entry whose segment span ended must be refreshed from the
-    mobility model even when the model never pushes segment changes:
-    the walker leaves decode range at t=10 and later frames miss it."""
+    mobility model: the walker leaves decode range at t=10 and later
+    frames miss it."""
     sim = Simulator(seed=1)
-    walker = NonPushingSegments([
+    walker = ScriptedSegments([
         Waypoint(0.0, 10.0, (200.0, 0.0), (200.0, 0.0)),   # parked, in range
         Waypoint(10.0, 20.0, (200.0, 0.0), (700.0, 0.0)),  # walks away
         Waypoint(20.0, math.inf, (700.0, 0.0), (700.0, 0.0)),
@@ -545,60 +525,89 @@ def test_kinematics_refresh_crosses_segment_boundary_without_pushes():
     sim.run()
     assert channel.grid_stats()["kinematics_mode"] == 1.0
     # t=1: walker parked at 200 m -> delivered.  t=19: the walker is at
-    # 650 m; its t<10 entry expired, no push ever fired, so only the
-    # expiry sweep can have reloaded the covering segment.
+    # 650 m; its t<10 entry expired, so only the expiry sweep can have
+    # reloaded the covering segment.
     assert len(macs[1].received) == 1
-    assert walker.push_calls == 0  # position() override never pushes
 
 
-def test_kinematics_mobility_push_updates_entry_mid_segment():
-    """A position() query landing in a new segment pushes it into the
-    channel immediately — the next transmission sees the new trajectory
-    without waiting for the old entry's span to expire."""
+def test_kinematics_entries_equal_segment_at_in_high_mobility_cell():
+    """Builds plus the expiry sweep are the only writers of the SoA
+    kinematics: on a high_mobility random-waypoint cell, right after
+    each transmission every entry equals the model's ``segment_at(now)``
+    and covers ``now``."""
+    from repro.experiments.sweep import SweepSettings
+    from repro.scenario.builder import ScenarioBuilder
+
+    config = SweepSettings.high_mobility().cell_configs()[0].replace(
+        sim_time=4.0)
+    scenario = ScenarioBuilder(config).build()
+    channel = scenario.channel
+    transmit = channel.transmit
+    sample_times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+    sampled = []
+
+    def checked_transmit(*args, **kwargs):
+        transmit(*args, **kwargs)
+        now = scenario.sim.now
+        if not sample_times or now < sample_times[0]:
+            return
+        while sample_times and now >= sample_times[0]:
+            sample_times.pop(0)
+        for index, interface in enumerate(channel._interfaces):
+            segment = interface.node.mobility.segment_at(now)
+            entry = (channel._kin_st[index], channel._kin_et[index],
+                     channel._kin_sx[index], channel._kin_sy[index],
+                     channel._kin_ex[index], channel._kin_ey[index])
+            assert entry == (segment.start_time, segment.end_time,
+                             *segment.start_pos, *segment.end_pos)
+            assert entry[0] <= now < entry[1]
+            assert channel._kin_t0[index] == segment.start_time
+            assert channel._kin_ox[index] == segment.start_pos[0]
+            assert channel._kin_oy[index] == segment.start_pos[1]
+            assert channel._kin_et_arr[index] == segment.end_time
+        sampled.append(now)
+
+    channel.transmit = checked_transmit
+    scenario.sim.run(until=config.sim_time)
+    assert len(sampled) >= 5
+    # Segments expired and were reloaded between builds.
+    assert channel.snapshot_invalidations \
+        > channel.pos_refreshes * config.n_nodes
+
+
+def test_kinematics_entry_reloaded_only_when_its_segment_ends():
+    """Nothing writes the SoA kinematics while they are torn down, and a
+    model's later segments never replace the entry covering ``now``
+    early: the expiry sweep reloads an entry once its span has ended."""
     sim = Simulator(seed=1)
-    # One long 0..100 s segment parked in range, so the initial entry
-    # never expires on its own; then a jump segment starting at t=5
-    # replaces it (models a re-planned trajectory).
+    parked = Waypoint(0.0, 10.0, (200.0, 0.0), (200.0, 0.0))
+    walking = Waypoint(10.0, 20.0, (200.0, 0.0), (700.0, 0.0))
     walker = ScriptedSegments([
-        Waypoint(0.0, 5.0, (200.0, 0.0), (200.0, 0.0)),
-        Waypoint(5.0, 100.0, (1000.0, 0.0), (1000.0, 0.0)),
+        parked, walking,
+        Waypoint(20.0, math.inf, (700.0, 0.0), (700.0, 0.0)),
     ])
     channel, nodes, macs = _kin_build(
         sim, [StaticMobility(0.0, 0.0), walker])
-    sim.schedule(1.0, lambda: nodes[0].interface.transmit(frame(), 0.01))
-    before = []
-    sim.schedule(6.0, lambda: before.append(
-        channel.grid_stats()["snapshot_invalidations"]))
-    # The walker's own MAC queries its position (e.g. a routing beacon
-    # would) — this is the push trigger, not a transmission.
-    sim.schedule(6.0, lambda: walker.position(6.0))
-    after = []
-    sim.schedule(6.0, lambda: after.append(
-        channel.grid_stats()["snapshot_invalidations"]))
-    sim.schedule(7.0, lambda: nodes[0].interface.transmit(frame(), 0.01))
-    sim.run()
-    assert walker.push_calls >= 1
-    assert after[0] == before[0] + 1  # the push wrote exactly one entry
-    assert len(macs[1].received) == 1  # t=1 delivered, t=7 out of range
+    assert channel.grid_stats()["kinematics_mode"] == 0.0
+    assert channel.snapshot_invalidations == 0
 
+    def walker_entry():
+        return (channel._kin_st[1], channel._kin_et[1],
+                channel._kin_sx[1], channel._kin_sy[1],
+                channel._kin_ex[1], channel._kin_ey[1])
 
-def test_push_segment_ignored_while_torn_down_and_for_future_segments():
-    sim = Simulator(seed=1)
-    channel, nodes, macs = _kin_build(
-        sim, [StaticMobility(0.0, 0.0), StaticMobility(100.0, 0.0)])
-    # Before any transmission the kinematics state is torn down: a stray
-    # push must be a no-op, not an IndexError on empty arrays.
-    channel.push_segment(1, Waypoint(0.0, 1.0, (5.0, 5.0), (5.0, 5.0)))
-    nodes[0].interface.transmit(frame(), 0.01)
+    seen = []
+    for at in (1.0, 5.0, 9.0, 11.0):
+        sim.schedule(at, lambda: nodes[0].interface.transmit(frame(), 0.01))
+        sim.schedule(at + 0.5, lambda: seen.append(
+            (channel.snapshot_invalidations, walker_entry())))
     sim.run()
-    invalidations = channel.snapshot_invalidations
-    # A segment starting in the future must not clobber the entry that
-    # covers `now` (the expiry sweep picks it up in time instead).
-    channel.push_segment(
-        1, Waypoint(sim.now + 10.0, math.inf, (9e9, 9e9), (9e9, 9e9)))
-    assert channel.snapshot_invalidations == invalidations
-    assert channel.neighbors_of(nodes[0].interface) \
-        == [nodes[1].interface]
+    in_parked = (2, (0.0, 10.0, 200.0, 0.0, 200.0, 0.0))
+    # One build over both nodes; the parked entry stays until t=10...
+    assert seen[:3] == [in_parked] * 3
+    # ...then the expiry sweep reloads the walker's entry alone.
+    assert seen[3] == (3, (10.0, 20.0, 200.0, 0.0, 700.0, 0.0))
+    assert channel.pos_refreshes == 1
 
 
 def test_register_mid_run_invalidates_and_rebuilds_kinematics():

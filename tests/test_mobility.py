@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.mobility.base import StaticMobility, Waypoint
-from repro.mobility.random_walk import RandomWalk
 from repro.mobility.random_waypoint import RandomWaypoint
 
 
@@ -107,25 +106,3 @@ class TestRandomWaypoint:
             RandomWaypoint(rng, pause_time=-1.0)
         with pytest.raises(ValueError):
             RandomWaypoint(rng, initial_position=(2000.0, 0.0))
-
-
-class TestRandomWalk:
-    def test_positions_stay_inside_field(self):
-        model = RandomWalk(np.random.default_rng(4), field_size=(500.0, 300.0),
-                           max_speed=25.0)
-        for t in np.linspace(0.0, 400.0, 300):
-            x, y = model.position(float(t))
-            assert 0.0 <= x <= 500.0
-            assert 0.0 <= y <= 300.0
-
-    def test_deterministic_per_seed(self):
-        a = RandomWalk(np.random.default_rng(8))
-        b = RandomWalk(np.random.default_rng(8))
-        assert a.position(123.4) == b.position(123.4)
-
-    def test_invalid_parameters(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            RandomWalk(rng, max_speed=-1.0)
-        with pytest.raises(ValueError):
-            RandomWalk(rng, leg_duration=0.0)

@@ -20,7 +20,6 @@ from repro.apps.cbr import CbrApplication
 from repro.apps.ftp import FtpApplication
 from repro.experiments.sweep import SWEEP_PROFILES, SweepSettings, run_speed_sweep
 from repro.mobility.base import StaticMobility
-from repro.mobility.random_walk import RandomWalk
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.net.propagation import (
     LogDistanceShadowing,
@@ -132,14 +131,26 @@ class TestLayerRegistrations:
 
     def test_every_layer_is_populated(self):
         expected = {
-            "mobility": ("random_walk", "random_waypoint", "static"),
+            "mobility": ("random_waypoint", "static"),
             "propagation": ("log_distance_shadowing", "range", "two_ray"),
-            "routing": ("AODV", "AOMDV", "DSR", "MTS"),
+            "routing": ("AODV", "DSR", "MTS"),
             "transport": ("tcp_reno", "udp"),
             "application": ("cbr", "ftp"),
         }
         for layer, names in expected.items():
             assert REGISTRIES[layer].available() == names
+
+    @pytest.mark.parametrize("registry,name", [
+        (ROUTING, "AOMDV"),
+        (MOBILITY, "random_walk"),
+    ])
+    def test_removed_components_are_unknown(self, registry, name):
+        with pytest.raises(UnknownComponentError) as excinfo:
+            registry.resolve(name)
+        remaining = registry.available()
+        assert name not in remaining
+        assert excinfo.value.known == remaining
+        assert f"(available: {', '.join(remaining)})" in str(excinfo.value)
 
     def test_supported_lists_are_registry_derived(self):
         # The old hard-coded SUPPORTED_* tuples now come straight from
@@ -181,7 +192,6 @@ class TestRegistryResolvedBuilder:
 
     @pytest.mark.parametrize("name,cls", [
         ("static", StaticMobility),
-        ("random_walk", RandomWalk),
         ("random_waypoint", RandomWaypoint),
     ])
     def test_mobility_model_is_selected_from_config(self, name, cls):

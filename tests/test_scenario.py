@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.mts import MtsAgent
 from repro.routing.aodv import AodvAgent
-from repro.routing.aomdv import AomdvAgent
 from repro.routing.dsr import DsrAgent
 from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.config import ScenarioConfig
@@ -79,8 +78,7 @@ class TestScenarioConfig:
 
 class TestScenarioBuilder:
     def test_builds_requested_protocol_agents(self):
-        expected = {"MTS": MtsAgent, "DSR": DsrAgent, "AODV": AodvAgent,
-                    "AOMDV": AomdvAgent}
+        expected = {"MTS": MtsAgent, "DSR": DsrAgent, "AODV": AodvAgent}
         for protocol, agent_type in expected.items():
             config = ScenarioConfig.tiny(protocol=protocol)
             scenario = ScenarioBuilder(config).build()
