@@ -11,16 +11,16 @@ kinds of work happen per benchmark:
   shared speed sweep (computed once per session) against the paper's
   qualitative claim — who wins, and where the crossovers fall.
 
-Profiles: set ``REPRO_BENCH_PROFILE=paper`` to run the full paper-scale
+Profiles: set ``REPRO_FIGURES_PROFILE=paper`` to run the full paper-scale
 grid (hours); the default ``bench`` profile finishes in a few minutes and
 preserves the protocol ordering.
 
 The shared sweep also honours the execution-subsystem knobs:
 
-* ``REPRO_BENCH_WORKERS=N`` — run the sweep on the pooled
+* ``REPRO_FIGURES_WORKERS=N`` — run the sweep on the pooled
   :class:`~repro.exec.ClusterExecutor` with N worker processes
   (results are bit-for-bit identical to the serial run).
-* ``REPRO_BENCH_CACHE=DIR`` — reuse an on-disk result cache, so repeated
+* ``REPRO_FIGURES_CACHE=DIR`` — reuse an on-disk result cache, so repeated
   benchmark sessions only simulate cells that changed.
 
 The *timed* ``benchmark.pedantic`` runs always execute in-process —
@@ -38,11 +38,11 @@ from repro.experiments.sweep import SweepSettings, run_speed_sweep
 from repro.scenario.config import ScenarioConfig
 
 #: Speeds used by the default bench profile (low / high end of the paper's range).
-BENCH_SPEEDS = (2.0, 20.0)
+FIGURE_SPEEDS = (2.0, 20.0)
 
 
 def bench_profile() -> str:
-    return os.environ.get("REPRO_BENCH_PROFILE", "bench")
+    return os.environ.get("REPRO_FIGURES_PROFILE", "bench")
 
 
 def sweep_settings() -> SweepSettings:
@@ -51,7 +51,7 @@ def sweep_settings() -> SweepSettings:
         return SweepSettings.paper()
     return SweepSettings(
         protocols=("DSR", "AODV", "MTS"),
-        speeds=BENCH_SPEEDS,
+        speeds=FIGURE_SPEEDS,
         replications=2,
         base_seed=7,
         config_overrides=dict(n_nodes=50, field_size=(1000.0, 1000.0),
@@ -72,8 +72,8 @@ def single_run_config(protocol: str, max_speed: float = 10.0,
 
 def sweep_executor():
     """Executor for the shared sweep, configured from the environment."""
-    return build_executor(int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
-                          os.environ.get("REPRO_BENCH_CACHE") or None)
+    return build_executor(int(os.environ.get("REPRO_FIGURES_WORKERS", "1")),
+                          os.environ.get("REPRO_FIGURES_CACHE") or None)
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.exec.artifact import check_artifact_stamp, stamp_artifact
 from repro.exec.cache import atomic_write_text
@@ -129,24 +129,33 @@ class ArtifactStore:
             atomic_write_text(path, text)
         return path
 
-    def get_index(self, campaign: str,
-                  allow_stale: bool = False) -> Dict[str, object]:
-        """Load a campaign's index, enforcing the provenance stamp."""
+    def _read_index(self, campaign: str,
+                    allow_stale: bool) -> Tuple[bytes, Dict[str, object]]:
+        """One read of a campaign's index: its bytes and checked document."""
         path = self._index_path(campaign)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             known = ", ".join(self.campaigns()) or "(none)"
             raise KeyError(f"no index for campaign {campaign!r}; "
                            f"indexed campaigns: {known}") from None
-        data = json.loads(text)
-        check_artifact_stamp(data, f"campaign index {campaign!r}",
+        document = json.loads(data.decode("utf-8"))
+        check_artifact_stamp(document, f"campaign index {campaign!r}",
                              allow_stale=allow_stale)
-        return data
+        return data, document
 
-    def index_bytes(self, campaign: str) -> bytes:
-        """The raw index file bytes (what ``repro-serve`` returns)."""
-        return self._index_path(campaign).read_bytes()
+    def get_index(self, campaign: str,
+                  allow_stale: bool = False) -> Dict[str, object]:
+        """Load a campaign's index, enforcing the provenance stamp."""
+        return self._read_index(campaign, allow_stale)[1]
+
+    def index_bytes(self, campaign: str, allow_stale: bool = False) -> bytes:
+        """The raw index file bytes (what ``repro-serve`` returns).
+
+        The stamp is checked on the very bytes returned, as
+        :meth:`get_index` checks it, from one read of the file.
+        """
+        return self._read_index(campaign, allow_stale)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ArtifactStore(root={str(self.root)!r}, "

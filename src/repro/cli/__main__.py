@@ -1,4 +1,4 @@
-"""Dispatcher: ``python -m repro.cli {bench,cache,campaign,lint,serve,sweep} …``.
+"""Dispatcher: ``python -m repro.cli {cache,campaign,lint,serve,sweep} …``.
 
 Lets the CLIs run straight from a checkout (``PYTHONPATH=src``) without
 installing the console entry points declared in ``pyproject.toml``.
@@ -12,7 +12,7 @@ import importlib
 import sys
 
 TOOLS = {tool: f"repro.cli.{tool}"
-         for tool in ("bench", "cache", "campaign", "lint", "serve", "sweep")}
+         for tool in ("cache", "campaign", "lint", "serve", "sweep")}
 
 
 def main(argv=None) -> int:

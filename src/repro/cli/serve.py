@@ -36,7 +36,7 @@ import json
 import re
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.campaign.store import ArtifactStore
 from repro.exec.artifact import ARTIFACT_FORMAT_VERSION, StaleArtifactError
@@ -45,6 +45,8 @@ from repro.version import __version__
 
 _DIGEST_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+_T = TypeVar("_T")
 
 
 class _HTTPError(Exception):
@@ -110,20 +112,21 @@ class ArtifactRequestHandler(BaseHTTPRequestHandler):
     def _store(self) -> ArtifactStore:
         return self.server.store  # type: ignore[attr-defined]
 
-    def _index(self, campaign: str) -> dict:
+    def _read_index(self, read: Callable[..., _T], campaign: str) -> _T:
+        """``read`` (a store index reader) with missing names as 404s."""
         if not _NAME_PATTERN.match(campaign):
             raise _HTTPError(404, f"invalid campaign name {campaign!r}")
         try:
-            return self._store.get_index(
-                campaign,
-                allow_stale=getattr(self.server, "allow_stale", False))
+            return read(campaign,
+                        allow_stale=getattr(self.server, "allow_stale", False))
         except KeyError as exc:
             raise _HTTPError(404, str(exc.args[0])) from None
 
     def _entry_record(self, campaign: str, entry: str) -> dict:
         if not _NAME_PATTERN.match(entry):
             raise _HTTPError(404, f"invalid entry name {entry!r}")
-        entries = self._index(campaign).get("entries", {})
+        index = self._read_index(self._store.get_index, campaign)
+        entries = index.get("entries", {})
         if entry not in entries:
             known = ", ".join(sorted(entries)) or "(none)"
             raise _HTTPError(404, f"campaign {campaign!r} has no entry "
@@ -152,8 +155,8 @@ class ArtifactRequestHandler(BaseHTTPRequestHandler):
             body = json.dumps(self._store.campaigns()) + "\n"
             return body.encode("utf-8"), "application/json"
         if parts[0] == "campaigns" and len(parts) == 2:
-            self._index(parts[1])  # 404 / stamp check before raw read
-            return self._store.index_bytes(parts[1]), "application/json"
+            return self._read_index(self._store.index_bytes, parts[1]), \
+                "application/json"
         if parts[0] == "campaigns" and len(parts) >= 4 \
                 and parts[2] == "entries":
             return self._dispatch_entry(parts[1], parts[3], parts[4:])

@@ -57,8 +57,8 @@ process is terminated and its unit rebalanced like any other failure.
 
 Per-stage wall-time counters (``stage_seconds``: spawn / serialize /
 simulate / stream / merge / cache_write / lookup) expose where a run's
-time went; ``repro-sweep``/``repro-campaign`` print them and the
-orchestration bench profile records them.
+time went; ``repro-sweep``/``repro-campaign`` print them and perfbench's
+traced ``campaign_e2e`` runs report them as ``exec.cold.*``.
 
 This module imports the sweep layer lazily inside functions (same
 circular-import idiom as :mod:`repro.exec.shard`).

@@ -4,9 +4,8 @@
 defaults of :meth:`ScenarioConfig.paper_default` follow the paper's §IV-A
 setup (50 nodes, 1000 m × 1000 m, random waypoint with 1 s pause, 250 m
 range, 802.11 MAC, TCP Reno/FTP traffic, 200 s, one random eavesdropper);
-:meth:`ScenarioConfig.small` gives a scaled-down configuration that keeps
-the same structure but finishes in well under a second, used by tests and
-as the benchmark default.
+:meth:`ScenarioConfig.tiny` gives a ten-node configuration with the same
+structure that tests and quick library drives use.
 """
 
 from __future__ import annotations
@@ -202,22 +201,6 @@ class ScenarioConfig:
                       field_size=(1000.0, 1000.0), max_speed=max_speed,
                       pause_time=1.0, transmission_range=250.0,
                       sim_time=200.0, seed=seed)
-        params.update(overrides)
-        return cls(**params)
-
-    @classmethod
-    def small(cls, protocol: str = "MTS", max_speed: float = 10.0,
-              seed: int = 1, **overrides) -> "ScenarioConfig":
-        """A scaled-down scenario (~25 nodes, 600 m², 25 s) for quick runs.
-
-        The reduced field keeps the node density (and hence hop counts and
-        contention levels) close to the paper's, so protocol rankings are
-        preserved while runs finish quickly.
-        """
-        params = dict(protocol=protocol, n_nodes=25,
-                      field_size=(700.0, 700.0), max_speed=max_speed,
-                      pause_time=1.0, transmission_range=250.0,
-                      sim_time=25.0, seed=seed)
         params.update(overrides)
         return cls(**params)
 

@@ -21,6 +21,7 @@ import types
 
 import pytest
 
+from repro.campaign import store as store_module
 from repro.campaign import (
     ArtifactStore,
     CampaignEntry,
@@ -337,6 +338,30 @@ class TestServe:
         status, body = served("/campaigns/demo")
         assert status == 200
         assert body == campaign_env.store.index_bytes("demo")
+
+    def test_index_route_serves_the_bytes_it_checked(self, served,
+                                                     campaign_env,
+                                                     monkeypatch):
+        # A republish landing right after the stamp check must not reach
+        # the response: the served body is the document that was checked.
+        index = campaign_env.root / "store" / "campaigns" / "demo.json"
+        checked = index.read_bytes()
+        document = json.loads(checked)
+        document["entries"]["republished"] = {}
+        republished = json.dumps(document).encode("utf-8")
+        check = store_module.check_artifact_stamp
+
+        def check_then_republish(data, *args, **kwargs):
+            check(data, *args, **kwargs)
+            index.write_bytes(republished)
+
+        monkeypatch.setattr(store_module, "check_artifact_stamp",
+                            check_then_republish)
+        try:
+            status, body = served("/campaigns/demo")
+        finally:
+            index.write_bytes(checked)
+        assert (status, body) == (200, checked)
 
     def test_figures_byte_identical_to_render(self, served, campaign_env):
         sweep = campaign_env.resume.sweeps["smoke"]

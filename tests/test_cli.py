@@ -8,11 +8,13 @@ on a tiny 4-cell grid so the whole file stays fast.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import __main__ as cli_main
-from repro.cli import bench as bench_cli
 from repro.cli import cache as cache_cli
 from repro.cli import sweep as sweep_cli
 from repro.exec import ResultCache, config_key
@@ -135,11 +137,6 @@ class TestReproSweep:
         for component in ("log_distance_shadowing", "two_ray", "tcp_reno",
                           "cbr", "random_waypoint", "AODV"):
             assert component in out
-
-    def test_bench_list_profiles_alias(self, capsys):
-        assert bench_cli.main(["--list-profiles"]) == 0
-        out = capsys.readouterr().out
-        assert "shadowing" in out and "smoke" in out
 
     def test_propagation_override_reaches_the_cell_configs(self, capsys,
                                                            settings_file):
@@ -312,3 +309,12 @@ class TestDispatcher:
         assert cli_main.main(["frobnicate"]) == 2
         assert cli_main.main([]) == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_retired_bench_tool_prints_usage(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "repro.cli", "bench"],
+                              env={"PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: python -m repro.cli {cache|")
+        assert "bench" not in proc.stderr

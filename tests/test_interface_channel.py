@@ -377,14 +377,14 @@ def test_smoke_like_scenario_uses_single_cell_grid():
     # Regression for the grid autosizing satellite: the smoke profile's
     # 750 m field with 250 m range used to build a 375 m-cell grid that
     # filtered nothing while paying rebuild + lookup overhead.
-    from repro.bench.profiles import bench_profile
-
-    case = bench_profile("tiny").cases[0]
     from repro.scenario.builder import ScenarioBuilder
-    scenario = ScenarioBuilder(case.config).build()
+    from repro.scenario.config import ScenarioConfig
+
+    config = ScenarioConfig.tiny(protocol="MTS", seed=7)
+    scenario = ScenarioBuilder(config).build()
     scenario.sim.run(until=2.0)
     stats = scenario.channel.grid_stats()
-    if 2.0 * (250.0 * 1.5) >= max(case.config.field_size):
+    if 2.0 * (250.0 * 1.5) >= max(config.field_size):
         assert stats["single_cell"] == 1.0
         assert stats["cells_used"] == 1
         assert stats["grid_rebuilds"] == 1

@@ -681,7 +681,7 @@ def test_fire_many_counts_in_heap_and_batch_stats():
 
 def test_fire_many_group_counters():
     """fire_groups/fire_group_members count grouped *scheduling* pushes —
-    the counter pair behind BENCH mean_group_size — independently of
+    the counter pair behind perfbench's sim.mean_group_size — independently of
     whether delivery timestamps coincide (mean_batch_size)."""
     sim = Simulator(seed=1)
     out = []
@@ -714,3 +714,26 @@ def test_fire_many_requeue_counter_on_split_group():
     # The heap event splitting the group sent its tail back to the heap.
     assert sim.fire_group_requeued == 1
     assert sim.mean_group_size == pytest.approx(3.0)
+
+
+def test_scenario_kernel_counters_are_consistent_and_repeatable():
+    """The engine counters perfbench reads, on a real ten-node run: the
+    grouped fan-out engages, fired timestamps account for every event,
+    and a rerun of the same config counts the same work."""
+    from repro.scenario.builder import ScenarioBuilder
+    from repro.scenario.config import ScenarioConfig
+
+    def counters():
+        config = ScenarioConfig.tiny(protocol="AODV", seed=7)
+        scenario = ScenarioBuilder(config).build()
+        sim = scenario.sim
+        sim.run(until=config.sim_time)
+        assert sim.mean_batch_size * sim.horizon_batches == \
+            pytest.approx(sim.processed_events)
+        assert sim.fire_groups > 0
+        assert sim.mean_group_size >= 2.0
+        return (sim.processed_events, sim.peak_heap_size, sim.fire_groups,
+                sim.fire_group_requeued, scenario.channel.transmissions,
+                scenario.channel.grid_stats()["grid_rebuilds"])
+
+    assert counters() == counters()
