@@ -55,7 +55,6 @@ _EXPORTS = {
     "executor_from_args": "repro.exec.executor",
     "resolve_executor": "repro.exec.executor",
     "simulate": "repro.exec.executor",
-    "ShardMerger": "repro.exec.shard",
     "ShardSpec": "repro.exec.shard",
     "SweepShard": "repro.exec.shard",
     "assemble_sweep_result": "repro.exec.shard",

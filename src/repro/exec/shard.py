@@ -265,63 +265,6 @@ def assemble_sweep_result(settings: "SweepSettings",
     return SweepResult(settings=settings, aggregates=aggregates, runs=runs)
 
 
-class ShardMerger:
-    """Incremental, validating accumulator of sweep cells.
-
-    Shard artifacts (or raw per-cell result mappings) are added one at a
-    time, in any order, and the full
-    :class:`~repro.experiments.sweep.SweepResult` is produced once the
-    grid is covered.  Unlike :func:`merge_shard_results`, the merger does
-    not require the pieces to follow the planner's K-way assignment:
-    only settings equality, per-cell uniqueness, and (at :meth:`result`
-    time) exact grid coverage are enforced.
-    """
-
-    def __init__(self, settings: "SweepSettings") -> None:
-        self.settings = settings
-        self._settings_json = settings.to_json()
-        self._grid_size = len(settings.grid())
-        self._results: Dict[int, ScenarioResult] = {}
-
-    def __contains__(self, index: int) -> bool:
-        return index in self._results
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    @property
-    def missing(self) -> List[int]:
-        """Grid indices not merged yet, in canonical order."""
-        return [index for index in range(self._grid_size)
-                if index not in self._results]
-
-    def add_results(self, results: Mapping[int, ScenarioResult]) -> None:
-        """Merge raw per-cell results (grid index -> result)."""
-        for index in results:
-            if not 0 <= index < self._grid_size:
-                raise ValueError(
-                    f"grid index {index} outside the {self._grid_size}-cell "
-                    f"grid")
-            if index in self._results:
-                raise ValueError(f"grid cell {index} merged twice")
-        self._results.update(results)
-
-    def add(self, shard: SweepShard) -> None:
-        """Merge one shard artifact (validating its settings match)."""
-        if shard.settings.to_json() != self._settings_json:
-            raise ValueError("shards come from different sweep settings")
-        self.add_results(shard.results)
-
-    def result(self) -> "SweepResult":
-        """The assembled sweep; raises unless the grid is fully covered."""
-        if len(self._results) != self._grid_size:
-            missing = self.missing
-            raise ValueError(
-                f"merged shards cover {len(self._results)} of "
-                f"{self._grid_size} grid cells; missing {missing}")
-        return assemble_sweep_result(self.settings, self._results)
-
-
 def merge_shard_results(shards: List[SweepShard]) -> "SweepResult":
     """Reassemble shard artifacts into the full :class:`SweepResult`.
 
@@ -339,13 +282,13 @@ def merge_shard_results(shards: List[SweepShard]) -> "SweepResult":
     count = reference.shard.count
     if len(shards) != count:
         raise ValueError(f"expected {count} shards, got {len(shards)}")
-    merger = ShardMerger(reference.settings)
+    results: Dict[int, ScenarioResult] = {}
     settings_json = reference.settings.to_json()
     seen_indices = set()
     plans = plan_shards(reference.settings, count)
     for piece in shards:
-        # Checked here (not left to merger.add) so a settings mismatch is
-        # reported as such, before the coverage check can trip on it.
+        # Checked first so a settings mismatch is reported as such,
+        # before the coverage check can trip on it.
         if piece.settings.to_json() != settings_json:
             raise ValueError("shards come from different sweep settings")
         if piece.shard.count != count:
@@ -358,5 +301,7 @@ def merge_shard_results(shards: List[SweepShard]) -> "SweepResult":
             raise ValueError(
                 f"shard {piece.shard} covers grid cells "
                 f"{sorted(piece.results)}, expected {expected}")
-        merger.add(piece)
-    return merger.result()
+        results.update(piece.results)
+    # Distinct shard indices, each covering exactly its planned cells:
+    # together the plan's partition of the grid, each cell once.
+    return assemble_sweep_result(reference.settings, results)

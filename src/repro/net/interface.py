@@ -123,7 +123,7 @@ class WirelessInterface:
         self.frames_sent += 1
         self.channel.transmit(self, packet, duration)
         # Fire-and-forget: transmission/reception completions are never
-        # cancelled, so they skip Event/EventHandle construction entirely.
+        # cancelled, so they need no Event to cancel them through.
         self._schedule_fire(duration, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: "Packet") -> None:

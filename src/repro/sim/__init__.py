@@ -4,10 +4,10 @@ This subpackage is the stand-in for the NS-2 scheduler used by the paper.
 It provides:
 
 * :class:`~repro.sim.engine.Simulator` — a heap-based event scheduler with
-  a floating-point simulation clock, cancellable events and deterministic
-  tie-breaking.
-* :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventHandle`
-  — scheduled callbacks.
+  a floating-point simulation clock that fires events in a fixed
+  ``(time, sequence)`` order.
+* :class:`~repro.sim.events.Event` — a scheduled callback, returned by
+  :meth:`~repro.sim.engine.Simulator.schedule` and cancelled through it.
 * :class:`~repro.sim.rng.RngRegistry` — named, independent random streams
   derived from a single scenario seed so that runs are reproducible and
   individual model components (mobility, MAC backoff, traffic, eavesdropper
@@ -17,7 +17,7 @@ It provides:
 """
 
 from repro.sim.engine import Simulator, SimulationError
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog, TraceRecord
 
@@ -25,7 +25,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "Event",
-    "EventHandle",
     "RngRegistry",
     "TraceLog",
     "TraceRecord",

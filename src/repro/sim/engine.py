@@ -1,53 +1,46 @@
 """The discrete-event simulation engine.
 
-The :class:`Simulator` is deliberately small: a binary heap of
-``(time, priority, sequence, ...)`` entries, a clock, and a handful of
-run controls.  All network models (channel, MAC, routing agents, TCP)
-schedule work through it, which is exactly the structure of the NS-2
-scheduler the paper's evaluation relied on.
+The :class:`Simulator` is deliberately small: a binary heap of entries
+keyed by ``(time, sequence)``, a clock, and a handful of run controls.
+All network models (channel, MAC, routing agents, TCP) schedule work
+through it, which is exactly the structure of the NS-2 scheduler the
+paper's evaluation relied on.
 
 Design notes
 ------------
-* Events firing at the same timestamp are ordered by ``(priority,
-  insertion sequence)``, so a run is bit-for-bit reproducible for a given
-  scenario seed.  The ordering key is carried by the heap entry tuple —
-  compared entirely in C, with the unique sequence number guaranteeing the
-  comparison never falls through to the trailing entry fields.
+* Events firing at the same timestamp are ordered by insertion sequence,
+  so a run is bit-for-bit reproducible for a given scenario seed.  The
+  ordering key leads every heap entry tuple — compared entirely in C, with
+  the unique sequence number guaranteeing the comparison never falls
+  through to the trailing entry fields.
 * The run loop handles one heap entry per iteration: it peeks
   ``heap[0]``, stops there if the entry lies past the ``until`` bound
   (so a bounded run never pops an entry it would have to push back),
   then pops and dispatches it.  ``horizon_batches`` counts the distinct
   timestamps that fired, with one float compare against the last fired
   time per event; ``mean_batch_size`` is events per such timestamp.
-* Three kinds of heap entry coexist.  :meth:`schedule` / :meth:`schedule_at`
-  build ``(time, priority, sequence, Event)`` and return a cancellable
-  :class:`EventHandle`.  :meth:`schedule_fire` — the fast path used by the
-  PHY/channel reception pipeline, which never cancels — pushes a bare
-  ``(time, priority, sequence, callback, args)`` 5-tuple: no
-  :class:`Event`, no handle, no kwargs dict, which is most of the
-  allocation cost of a reception event.  :meth:`schedule_fire_many` — the
-  batched variant the channel uses for the per-receiver reception fan-out
-  of one transmission — reserves one sequence number per member exactly as
-  the equivalent :meth:`schedule_fire` loop would, but pushes a single
-  6-tuple ``(time, priority, sequence, members, 0, 0)`` keyed by the
-  earliest member.  When that entry pops, the run loop drains the group's
-  members in ``(time, sequence)`` order, firing each one directly while it
-  is provably next in the global order (cheap comparison against
-  ``heap[0]``) and falling back to re-pushing the remainder as ordinary
-  5-tuples the moment anything else — another heap entry, an ``until``
-  bound, or :meth:`stop` — must come first.  Because every member carries
-  the sequence number reserved at schedule time, the delivery order is
-  bit-for-bit identical to the per-receiver loop while the common case
-  costs one heap push + pop per *transmission* instead of one per
-  receiver.  All entry kinds share the same sequence counter.
+* Two shapes of heap entry share the key and the sequence counter.
+  :meth:`schedule` / :meth:`schedule_at` push ``(time, sequence, event)``
+  and return the cancellable :class:`~repro.sim.events.Event`.  The
+  fire-and-forget calls — :meth:`schedule_fire`, and
+  :meth:`schedule_fire_many` for the channel's per-receiver fan-out of one
+  transmission — push a group ``(time, sequence, members, start)``:
+  ``(time, sequence, callback, args)`` members sorted in firing order and
+  keyed by the first unfired one, ``members[start]``.  Each member keeps
+  the sequence number reserved when it was scheduled.  A popped group
+  fires its members directly while each is provably next (one comparison
+  against ``heap[0]``); once another entry, an ``until`` bound,
+  :meth:`stop` or a raising callback must come first, the unfired suffix
+  goes back as one entry.  A fan-out thus costs one heap push + pop per
+  transmission, not per receiver.
 * Cancellation is lazy: cancelled events stay in the heap and are skipped
-  when popped.  This keeps :meth:`Simulator.cancel` O(1), which matters
+  when popped.  This keeps :meth:`Event.cancel` O(1), which matters
   because MAC ACK timeouts and TCP retransmission timers are cancelled far
   more often than they fire.  To stop long runs from drowning in that
   garbage, the heap is compacted (rebuilt without cancelled entries) once
   cancelled events make up at least half of a non-trivially-sized heap;
-  compaction preserves the ``(time, priority, sequence)`` order exactly,
-  so results are unaffected.
+  compaction preserves the ``(time, sequence)`` order exactly, so results
+  are unaffected.
 * The engine never sleeps or busy-waits; simulated time advances only by
   popping events, so an idle network costs nothing.
 """
@@ -56,19 +49,22 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Any, Callable, List, Optional, Sequence, Tuple, Union,
+                    TYPE_CHECKING)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
-#: Type of one handle-backed heap entry; the leading triple is the full
-#: ordering key.  Fire-and-forget entries are ``(time, priority, sequence,
-#: callback, args)`` 5-tuples sharing the same key layout.
-HeapEntry = Tuple[float, int, int, Event]
+#: One fire-and-forget member: ``(time, sequence, callback, args)``.
+Member = Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]
+#: A heap entry: ``(time, sequence, event)`` or ``(time, sequence,
+#: members, start)``.  The leading pair is the full ordering key.
+HeapEntry = Union[Tuple[float, int, Event],
+                  Tuple[float, int, List[Member], int]]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -136,9 +132,9 @@ class Simulator:
         #: usually much smaller) thing — see ``mean_batch_size``.
         self.fire_groups: int = 0
         self.fire_group_members: int = 0
-        #: Group members handed back to the heap as plain fire tuples
-        #: because another event had to fire first (the grouped drain's
-        #: bail-out path).
+        #: Group members handed back to the heap unfired because another
+        #: event had to fire first (the grouped drain's bail-out path).  A
+        #: suffix that splits again is counted again.
         self.fire_group_requeued: int = 0
         self.rngs = RngRegistry(seed)
         self.trace: Optional[TraceLog] = TraceLog() if trace else None
@@ -153,8 +149,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of *live* (non-cancelled) events still in the heap."""
-        return len(self._heap) - self._cancelled_in_heap
+        """Number of *live* (non-cancelled) events still in the heap.
+
+        Counts every unfired group member, so it walks the heap.
+        """
+        return sum(len(entry[2]) - entry[3] if len(entry) == 4
+                   else not entry[2].cancelled for entry in self._heap)
 
     @property
     def cancelled_pending(self) -> int:
@@ -208,20 +208,16 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # scheduling
     # ------------------------------------------------------------------ #
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now.
+    def schedule(self, delay: float, callback: Callable[..., Any],
+                 *args: Any) -> Event:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Inlines the push instead of delegating to :meth:`schedule_at`:
-        this is the single hottest call in a simulation, and a
-        non-negative delay already guarantees the clock invariant that
-        ``schedule_at`` would re-check.
+        Returns the :class:`~repro.sim.events.Event`, whose
+        :meth:`~repro.sim.events.Event.cancel` withdraws it.  Inlines the
+        push instead of delegating to :meth:`schedule_at`: this is the
+        single hottest call in a simulation, and a non-negative delay
+        already guarantees the clock invariant that ``schedule_at`` would
+        re-check.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative or NaN delay {delay!r}")
@@ -230,24 +226,22 @@ class Simulator:
         time = float(self.now + delay)
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, args, kwargs)
+        event = Event(callback, args, self)
         heap = self._heap
-        _heappush(heap, (time, priority, sequence, event))
+        _heappush(heap, (time, sequence, event))
         if len(heap) > self.peak_heap_size:
             self.peak_heap_size = len(heap)
-        return EventHandle(event, self)
+        return event
 
     def schedule_fire(self, delay: float, callback: Callable[..., Any],
                       *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, default priority.
+        """Fire-and-forget :meth:`schedule`: nothing to cancel, no handle.
 
-        The fast path for events that are never cancelled (the PHY/channel
+        The path for events that are never cancelled (the PHY/channel
         reception pipeline schedules hundreds of thousands of these).  It
-        pushes a bare ``(time, priority, sequence, callback, args)`` tuple
-        — no :class:`Event`, no :class:`EventHandle`, no kwargs dict.  The
-        sequence counter is shared with :meth:`schedule`, so the delivery
-        order is exactly what ``schedule(delay, callback, *args)`` would
-        have produced.
+        pushes a one-member group.  The sequence counter is shared with
+        :meth:`schedule`, so the delivery order is exactly what
+        ``schedule(delay, callback, *args)`` would have produced.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative or NaN delay {delay!r}")
@@ -255,7 +249,8 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         heap = self._heap
-        _heappush(heap, (time, 0, sequence, callback, args))
+        _heappush(heap, (time, sequence, [(time, sequence, callback, args)],
+                         0))
         if len(heap) > self.peak_heap_size:
             self.peak_heap_size = len(heap)
 
@@ -270,20 +265,15 @@ class Simulator:
         :meth:`schedule_fire` calls would have passed.  Each member is
         assigned the same consecutive sequence numbers that loop would have
         reserved, so the global delivery order is bit-for-bit identical;
-        only the heap traffic changes.  A multi-member group is pushed as a
-        single 6-tuple keyed by its earliest ``(time, sequence)`` member,
-        and the run loop fans the members out when it pops (see
-        :meth:`run`).  Empty input is a no-op; a single entry degrades to a
-        plain fire tuple.
-
-        The channel calls this once per transmission with one entry per
-        receiver, replacing ``n_receivers`` heap pushes (and later pops)
-        with one of each in the common case where no other event interleaves
-        the fan-out.
+        only the heap traffic changes: one group is pushed, keyed by the
+        earliest ``(time, sequence)`` member, and the run loop fans it out
+        when it pops (see :meth:`run`).  Empty input is a no-op.  The
+        channel calls this once per transmission with one entry per
+        receiver.
         """
         now = self.now
         sequence = self._sequence
-        members = []
+        members: List[Member] = []
         for delay, callback, args in entries:
             if not delay >= 0:  # also rejects NaN
                 raise SimulationError(f"negative or NaN delay {delay!r}")
@@ -292,30 +282,21 @@ class Simulator:
         if not members:
             return
         self._sequence = sequence
-        heap = self._heap
-        if len(members) == 1:
-            time, seq, callback, args = members[0]
-            _heappush(heap, (time, 0, seq, callback, args))
-        else:
+        if len(members) > 1:
             # (time, sequence) is unique per member, so tuple sort never
             # compares the callables and yields exact global firing order.
             members.sort()
-            first = members[0]
-            _heappush(heap, (first[0], 0, first[1], members, 0, 0))
             self.fire_groups += 1
             self.fire_group_members += len(members)
+        first = members[0]
+        heap = self._heap
+        _heappush(heap, (first[0], first[1], members, 0))
         if len(heap) > self.peak_heap_size:
             self.peak_heap_size = len(heap)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation time ``time``.
+    def schedule_at(self, time: float, callback: Callable[..., Any],
+                    *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``.
 
         This is the engine's hottest entry point, so it validates only the
         clock invariant.  A non-callable ``callback`` is not rejected here;
@@ -329,17 +310,12 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, args, kwargs)
+        event = Event(callback, args, self)
         heap = self._heap
-        _heappush(heap, (time, priority, sequence, event))
+        _heappush(heap, (time, sequence, event))
         if len(heap) > self.peak_heap_size:
             self.peak_heap_size = len(heap)
-        return EventHandle(event, self)
-
-    def cancel(self, handle: Optional[EventHandle]) -> None:
-        """Cancel a previously scheduled event.  ``None`` is ignored."""
-        if handle is not None:
-            handle.cancel()
+        return event
 
     # ------------------------------------------------------------------ #
     # heap maintenance
@@ -356,13 +332,13 @@ class Simulator:
         """Rebuild the heap without cancelled entries.
 
         Safe to run at any point between event pops: entries are ordered
-        by their full ``(time, priority, sequence)`` key, so re-heapifying
-        the surviving entries reproduces the exact pop order the lazy
-        deletion path would have produced.  Fire-and-forget 5-tuples carry
-        no cancellation flag and always survive.
+        by their full ``(time, sequence)`` key, so re-heapifying the
+        surviving entries reproduces the exact pop order the lazy deletion
+        path would have produced.  Groups are never cancelled and always
+        survive.
         """
         self._heap = [entry for entry in self._heap
-                      if len(entry) != 4 or not entry[3].cancelled]
+                      if len(entry) == 4 or not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.heap_compactions += 1
@@ -417,27 +393,23 @@ class Simulator:
                     self.now = limit
                     break
                 heappop(heap)
-                if len(entry) == 4:
-                    event = entry[3]
-                    event.popped = True
+                if len(entry) == 3:
+                    event = entry[2]
                     if event.cancelled:
                         self._cancelled_in_heap -= 1
                         continue
+                    event._sim = None  # out of the heap: no longer garbage
                     self.now = time
-                    event.callback(*event.args, **event.kwargs)
-                elif len(entry) == 5:
-                    self.now = time
-                    entry[3](*entry[4])
+                    event.callback(*event.args)
                 else:
-                    # Grouped fan-out from schedule_fire_many.  Members
-                    # are (time, sequence, callback, args), pre-sorted in
-                    # exact global firing order among themselves.  Fire
-                    # each directly while it is provably next in the
-                    # global order; hand the rest back to the heap the
-                    # moment anything else must come first.
-                    members = entry[3]
+                    # A group: members are (time, sequence, callback,
+                    # args), pre-sorted in exact global firing order among
+                    # themselves.  Fire each directly while it is provably
+                    # next in the global order; hand the rest back to the
+                    # heap the moment anything else must come first.
+                    members = entry[2]
+                    m = entry[3]
                     n_members = len(members)
-                    m = 0
                     while True:
                         member = members[m]
                         time = member[0]
@@ -446,9 +418,8 @@ class Simulator:
                             member[2](*member[3])
                         except BaseException:
                             # Keep the heap consistent on a raising
-                            # callback: the unfired members survive as
-                            # plain fire tuples, exactly as the scalar
-                            # loop would have left them.
+                            # callback: the unfired members survive,
+                            # exactly as one entry per member would have.
                             self._requeue(members, m + 1)
                             raise
                         processed += 1
@@ -468,12 +439,9 @@ class Simulator:
                             top = heap[0]
                             time_t = top[0]
                             # The next member fires directly only when its
-                            # (time, priority=0, sequence) key precedes
-                            # the heap top's.
+                            # (time, sequence) key precedes the heap top's.
                             if time_n > time_t or (
-                                    time_n == time_t
-                                    and (top[1] < 0 or top[1] == 0
-                                         and top[2] < nxt[1])):
+                                    time_n == time_t and top[1] < nxt[1]):
                                 self._requeue(members, m)
                                 break
                     heap = self._heap
@@ -493,12 +461,12 @@ class Simulator:
             self.horizon_batches = batches
             self._running = False
 
-    def _requeue(self, members: list, start: int) -> None:
-        """Push group members ``start:`` back as plain fire tuples."""
-        heap = self._heap
-        for time, sequence, callback, args in members[start:]:
-            _heappush(heap, (time, 0, sequence, callback, args))
-        self.fire_group_requeued += len(members) - start
+    def _requeue(self, members: List[Member], start: int) -> None:
+        """Push the unfired members ``start:`` back as one group entry."""
+        if start < len(members):
+            first = members[start]
+            _heappush(self._heap, (first[0], first[1], members, start))
+            self.fire_group_requeued += len(members) - start
 
     def stop(self) -> None:
         """Stop the event loop after the currently firing event returns."""

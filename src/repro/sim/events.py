@@ -1,18 +1,17 @@
-"""Event objects used by the simulation engine.
+"""The cancellable event returned by :meth:`Simulator.schedule`.
 
-Events are lightweight wrappers around a callback plus its arguments.  The
-engine orders them by ``(time, priority, sequence)`` where ``sequence`` is a
+The engine orders events by ``(time, sequence)``, where ``sequence`` is a
 monotonically increasing insertion counter — this makes event ordering fully
 deterministic even when many events share a timestamp, which matters for
 reproducibility of MAC contention and route-discovery races.
 
-The ordering key lives on the *heap entry* (a plain
-``(time, priority, sequence, event)`` tuple built by the engine), not on
-the event object: tuple comparison is handled entirely in C and the unique
-sequence number guarantees the tie-break never falls through to comparing
-:class:`Event` objects themselves.  ``Event`` is a ``__slots__`` class
-rather than a dataclass — attribute access is what the run loop spends its
-time on, and slots cut both the per-event memory and the lookup cost.
+The ordering key lives on the *heap entry* (a plain ``(time, sequence,
+event)`` tuple built by the engine), not on the event object: tuple
+comparison is handled entirely in C and the unique sequence number
+guarantees the tie-break never falls through to comparing :class:`Event`
+objects themselves.  ``Event`` is a ``__slots__`` class rather than a
+dataclass — attribute access is what the run loop spends its time on, and
+slots cut both the per-event memory and the lookup cost.
 """
 
 from __future__ import annotations
@@ -24,88 +23,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback that its owner may cancel.
 
     Attributes
     ----------
-    time:
-        Absolute simulation time at which the event fires.
-    priority:
-        Secondary ordering key.  Lower priorities fire first among events
-        scheduled for the same time.  Most events use the default of 0;
-        the engine's internal "stop" event uses a large priority so that
-        all same-time work completes first.
-    sequence:
-        Insertion counter used as the final tie-breaker.
-    callback / args / kwargs:
-        The work to perform.  Not part of the ordering key.
+    callback / args:
+        The work to perform.
     cancelled:
-        Set by :meth:`EventHandle.cancel`; cancelled events are skipped
-        (lazy deletion) rather than removed from the heap — though the
-        engine rebuilds the heap without them once the garbage fraction
-        grows too large (see ``Simulator._compact_heap``).
-    popped:
-        Set by the engine when the event leaves the heap (fired or
-        discarded), so cancelling a handle after the fact does not count
-        towards the heap's garbage statistics.
+        Set by :meth:`cancel`; cancelled events are skipped (lazy
+        deletion) rather than removed from the heap — though the engine
+        rebuilds the heap without them once the garbage fraction grows too
+        large (see ``Simulator._compact_heap``).
+    _sim:
+        The owning simulator while the event sits in its heap.  The engine
+        clears it when the event fires, so cancelling afterwards does not
+        count towards the heap's garbage statistics.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "args",
-                 "kwargs", "cancelled", "popped")
+    __slots__ = ("callback", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, priority: int, sequence: int,
-                 callback: Callable[..., Any], args: tuple = (),
-                 kwargs: Optional[dict] = None) -> None:
-        self.time = time
-        self.priority = priority
-        self.sequence = sequence
+    def __init__(self, callback: Callable[..., Any], args: tuple,
+                 sim: "Simulator") -> None:
         self.callback = callback
         self.args = args
-        self.kwargs = {} if kwargs is None else kwargs
         self.cancelled = False
-        self.popped = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "cancelled" if self.cancelled else "pending"
-        return (f"<Event t={self.time:.6f} prio={self.priority} "
-                f"seq={self.sequence} {state}>")
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`.
-
-    Allows callers to cancel a pending event and to query whether it is
-    still pending.  Handles are cheap; they hold the underlying
-    :class:`Event` plus the owning simulator so that cancellations can be
-    counted towards the heap's garbage statistics (which drive heap
-    compaction).
-    """
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: Event, sim: Optional["Simulator"] = None) -> None:
-        self._event = event
-        self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time of the event."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Cancel the event.  Idempotent; safe to call after it fired."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
-            # Only count events still sitting in the heap as garbage.
-            if self._sim is not None and not event.popped:
+        if not self.cancelled:
+            self.cancelled = True
+            if self._sim is not None:
                 self._sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self._event.time:.6f} {state}>"
+        return f"<Event {self.callback!r} {state}>"

@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis + seeded random generators).
 
 Besides the hypothesis invariants for the core data structures, this
-module holds the randomized JSON round-trip suite for every artifact
-that crosses a process boundary — :class:`ScenarioConfig`,
-:class:`ScenarioResult`, :class:`SweepSettings` and :class:`SweepShard`.
-Those use hand-rolled ``random.Random(seed)`` generators (one seed per
+module holds a differential test of the event engine against a
+one-entry-per-event reference heap, and the randomized JSON round-trip
+suite for every artifact that crosses a process boundary —
+:class:`ScenarioConfig`, :class:`ScenarioResult`, :class:`SweepSettings`
+and :class:`SweepShard`.  Both use hand-rolled ``random.Random(seed)`` generators (one seed per
 parametrized case) instead of hypothesis so the exact inputs are
 reproducible from the test id alone — the same discipline as the
 simulator's named RNG streams.
@@ -12,8 +13,10 @@ simulator's named RNG streams.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +57,139 @@ def test_engine_fires_events_in_nondecreasing_time_order(delays):
     assert len(fired) == len(delays)
     assert fired == sorted(fired)
     assert sim.now == max(fired)
+
+
+class _ReferenceHeap:
+    """The order the engine promises, one ``(time, seq)`` entry per event."""
+
+    def __init__(self):
+        self.now, self.heap, self.seq, self.stopped = 0.0, [], 0, False
+        self.cancelled = set()
+
+    def schedule_at(self, time, callback, *args):
+        self.seq += 1
+        heapq.heappush(self.heap, (float(time), self.seq, callback, args))
+        seq = self.seq
+        return SimpleNamespace(cancel=lambda: self.cancelled.add(seq))
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    schedule_fire = schedule
+
+    def schedule_fire_many(self, entries):
+        for delay, callback, args in entries:
+            self.schedule(delay, callback, *args)
+
+    def stop(self):
+        self.stopped = True
+
+    def run(self, until=None):
+        self.stopped = False
+        while self.heap:
+            if self.stopped:
+                return
+            time, seq, callback, args = self.heap[0]
+            if until is not None and time > until:
+                break
+            heapq.heappop(self.heap)
+            if seq not in self.cancelled:
+                self.now = time
+                callback(*args)
+        if until is not None:
+            self.now = until
+
+
+def _random_event_program(rng: random.Random, budget: int = 80):
+    """Map each event label to the operations it runs when it fires.
+
+    Label 0 is the set-up run before the first ``run()``.  Delays come
+    from a four-value set, so equal times (and equal delays within one
+    fan-out) are common.
+    """
+    program, cancellable, queue, labels = {}, [], [0], 1
+    weights = {"schedule": 4, "schedule_at": 2, "fire": 3, "fire_many": 3,
+               "cancel": 4, "stop": 1}
+    while queue:
+        label = queue.pop(0)
+        ops = []
+        for _ in range(8 if label == 0 else rng.randrange(4)):
+            kind = rng.choices(list(weights), list(weights.values()))[0]
+            if kind == "cancel":
+                if cancellable:
+                    ops.append(("cancel", rng.choice(cancellable)))
+                continue
+            if kind == "stop":
+                ops.append(("stop",))
+                continue
+            size = rng.randrange(5) if kind == "fire_many" else 1
+            if labels + size > budget:
+                continue
+            children = list(range(labels, labels + size))
+            labels += size
+            queue.extend(children)
+            delays = [rng.randrange(4) * 0.5 for _ in children]
+            if kind == "fire_many":
+                ops.append((kind, list(zip(delays, children))))
+            else:
+                ops.append((kind, delays[0], children[0]))
+                if kind in ("schedule", "schedule_at"):
+                    cancellable.append(children[0])
+        program[label] = ops
+    return program
+
+
+def _play(sim, program, slices):
+    """Run ``program`` on ``sim``; return the fired labels and clocks."""
+    log, handles, stopped = [], {}, []
+
+    def fire(label):
+        log.append((label, sim.now))
+        for op in program[label]:
+            kind = op[0]
+            if kind == "schedule":
+                handles[op[2]] = sim.schedule(op[1], fire, op[2])
+            elif kind == "schedule_at":
+                handles[op[2]] = sim.schedule_at(sim.now + op[1], fire, op[2])
+            elif kind == "fire":
+                sim.schedule_fire(op[1], fire, op[2])
+            elif kind == "fire_many":
+                sim.schedule_fire_many([(delay, fire, (child,))
+                                        for delay, child in op[1]])
+            elif kind == "cancel":
+                if op[1] in handles:
+                    handles[op[1]].cancel()
+            else:
+                stopped.append(True)
+                sim.stop()
+
+    fire(0)
+    for until in slices:
+        stopped.clear()
+        sim.run(until)
+        # After a stop() the clock is left at the stopping event, or moved
+        # to ``until`` when the heap holds nothing at all; compaction
+        # decides the latter, so only unstopped slices pin the clock.
+        log.append(("slice", None if stopped else sim.now))
+    return log
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_matches_one_entry_per_event_reference(seed):
+    """Grouped fan-outs, lazy cancellation and heap compaction never
+    change the firing order of a one-entry-per-event heap."""
+    rng = random.Random(seed)
+    program = _random_event_program(rng)
+    slices = sorted(rng.randrange(12) * 0.5
+                    for _ in range(rng.randrange(1, 6)))
+    slices.append(None)
+    slices.extend([None] * 6)  # resume after stop()s in the last slice
+    sim = Simulator(seed=1)
+    if seed % 2:
+        sim._COMPACT_MIN_GARBAGE = 1
+    expected = _play(_ReferenceHeap(), program, slices)
+    assert _play(sim, program, slices) == expected
+    assert sum(label != "slice" for label, _ in expected) > 1
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32),

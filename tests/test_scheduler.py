@@ -21,8 +21,8 @@ from repro.exec import (
     FaultInjection,
     ResultCache,
     SchedulerError,
-    ShardMerger,
     ShardScheduler,
+    assemble_sweep_result,
     partition_cells,
     plan_shards,
 )
@@ -429,17 +429,15 @@ class TestWorkerPool:
 
 
 def test_streaming_merge_is_byte_identical_to_whole_shard_merge(tiny_serial):
-    """The cell-granular wire contract: feeding ShardMerger one frame at
-    a time — in an adversarial arrival order — assembles the exact bytes
-    of a whole-grid merge and of the serial sweep."""
+    """The cell-granular wire contract: cells arriving one at a time — in
+    an adversarial (reverse) order — assemble the exact bytes of a
+    whole-grid merge and of the serial sweep."""
     settings = tiny_settings()
     grid = settings.grid()
     results = {index: run_scenario(settings.cell_config(*grid[index]))
                for index in range(len(grid))}
-    whole = ShardMerger(settings)
-    whole.add_results(results)
-    streamed = ShardMerger(settings)
-    for index in sorted(results, reverse=True):
-        streamed.add_results({index: results[index]})
-    assert streamed.result().to_json() == whole.result().to_json()
-    assert streamed.result().to_json() == tiny_serial.to_json()
+    streamed = {index: results[index]
+                for index in sorted(results, reverse=True)}
+    whole = assemble_sweep_result(settings, results).to_json()
+    assert assemble_sweep_result(settings, streamed).to_json() == whole
+    assert whole == tiny_serial.to_json()

@@ -15,7 +15,6 @@ import pytest
 from repro.exec import (
     ResultCache,
     SerialExecutor,
-    ShardMerger,
     ShardSpec,
     SweepShard,
     assemble_sweep_result,
@@ -182,52 +181,6 @@ class TestMergeValidation:
                            results=dict(shards[0].results))
         with pytest.raises(ValueError, match="covers grid cells"):
             merge_shard_results([shards[0], wrong])
-
-
-class TestShardMerger:
-    """The incremental merger behind the streaming scheduler."""
-
-    @pytest.fixture(scope="class")
-    def shards(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("merger-shards")
-        settings = tiny_settings()
-        return [run_sweep_shard(settings, shard=ShardSpec(index, 2),
-                                cache=ResultCache(tmp_path / str(index)))
-                for index in range(2)]
-
-    def test_incremental_add_matches_merge_shard_results(self, shards,
-                                                         tiny_serial):
-        merger = ShardMerger(shards[0].settings)
-        added = 0
-        for piece in reversed(shards):  # stream-back order is arbitrary
-            merger.add(piece)
-            added += len(piece.results)
-            assert len(merger) == added
-        assert merger.missing == []
-        assert merger.result().to_json() == tiny_serial.to_json()
-        assert merge_shard_results(shards).to_json() \
-            == tiny_serial.to_json()
-
-    def test_partial_coverage_is_reported_as_missing(self, shards):
-        merger = ShardMerger(shards[0].settings)
-        merger.add(shards[0])
-        assert sorted(merger.missing) == sorted(shards[1].results)
-        with pytest.raises(ValueError, match="missing"):
-            merger.result()
-
-    def test_duplicate_and_out_of_range_cells_are_rejected(self, shards):
-        merger = ShardMerger(shards[0].settings)
-        merger.add(shards[0])
-        with pytest.raises(ValueError, match="merged twice"):
-            merger.add(shards[0])
-        first = next(iter(shards[1].results.values()))
-        with pytest.raises(ValueError, match="outside"):
-            merger.add_results({999: first})
-
-    def test_settings_mismatch_is_rejected(self, shards):
-        merger = ShardMerger(tiny_settings(base_seed=99))
-        with pytest.raises(ValueError, match="different sweep settings"):
-            merger.add(shards[0])
 
     def test_assemble_requires_exact_coverage(self, shards):
         settings = shards[0].settings

@@ -26,15 +26,6 @@ def test_same_time_events_fire_in_insertion_order():
     assert order == list(range(10))
 
 
-def test_priority_breaks_ties_before_insertion_order():
-    sim = Simulator(seed=1)
-    order = []
-    sim.schedule(1.0, order.append, "normal", priority=0)
-    sim.schedule(1.0, order.append, "urgent", priority=-1)
-    sim.run()
-    assert order == ["urgent", "normal"]
-
-
 def test_clock_advances_to_event_times():
     sim = Simulator(seed=1)
     seen = []
@@ -75,15 +66,7 @@ def test_cancelled_events_do_not_fire():
     assert handle.cancelled
     sim.run()
     assert fired == ["kept"]
-
-
-def test_cancel_via_simulator_helper_accepts_none():
-    sim = Simulator(seed=1)
-    sim.cancel(None)  # must not raise
-    handle = sim.schedule(1.0, lambda: None)
-    sim.cancel(handle)
-    sim.run()
-    assert sim.processed_events == 0
+    assert sim.processed_events == 1
 
 
 def test_events_scheduled_during_run_are_processed():
@@ -261,22 +244,27 @@ def test_heap_compaction_sheds_cancelled_garbage():
 
 
 def test_compaction_preserves_same_time_ordering():
+    """Compaction keeps every fire entry and the sequence order of
+    same-time survivors, whichever call scheduled them."""
     sim = Simulator(seed=1)
     # Force the fraction threshold to be reachable with a small heap.
     sim._COMPACT_MIN_GARBAGE = 1
     fired = []
-    handles = [sim.schedule(1.0, fired.append, i,
-                            priority=(-1 if i % 3 == 0 else 0))
-               for i in range(30)]
-    cancelled = set(range(12, 28))  # 16 of 30 >= the half-heap threshold
+    handles = {}
+    for i in range(30):
+        if i % 3 == 0:
+            sim.schedule_fire(1.0, fired.append, i)
+        else:
+            handles[i] = sim.schedule(1.0, fired.append, i)
+    # 16 of the 20 cancellable events: the 15th reaches half the heap and
+    # compacts it; the 16th stays behind as garbage.
+    cancelled = sorted(handles)[:16]
     for i in cancelled:
         handles[i].cancel()
-    assert sim.heap_compactions >= 1
+    assert sim.heap_compactions == 1
+    assert sim.heap_size - sim.cancelled_pending == sim.pending_events == 14
     sim.run()
-    survivors = [i for i in range(30) if i not in cancelled]
-    expected = ([i for i in survivors if i % 3 == 0]
-                + [i for i in survivors if i % 3 != 0])
-    assert fired == expected
+    assert fired == [i for i in range(30) if i not in cancelled]
 
 
 def test_cancelled_events_never_fire_after_compaction():
@@ -302,19 +290,6 @@ def test_peak_heap_size_tracks_high_water_mark():
     sim.run()
     assert sim.peak_heap_size == 5
     assert sim.heap_size == 0
-
-
-def test_kwargs_are_passed_to_callbacks():
-    sim = Simulator(seed=1)
-    received = {}
-
-    def callback(a, b=None):
-        received["a"] = a
-        received["b"] = b
-
-    sim.schedule(1.0, callback, 1, b="two")
-    sim.run()
-    assert received == {"a": 1, "b": "two"}
 
 
 def test_numpy_scalar_delay_does_not_poison_the_clock():
@@ -510,7 +485,7 @@ def test_fire_many_matches_scalar_loop_order():
 
 def test_fire_many_interleaves_with_cancellable_events():
     """Heap events landing between group members still fire in global
-    (time, priority, sequence) order, and a cancellation mid-group is
+    (time, sequence) order, and a cancellation mid-group is
     honoured."""
     sim = Simulator(seed=1)
     order = []
@@ -542,18 +517,16 @@ def test_fire_many_cancellation_by_member_suppresses_heap_event():
     assert order == ["m1", "m2"]
 
 
-@pytest.mark.parametrize("priority", [-1, 0, 1])
-def test_fire_many_member_yields_to_same_time_event_by_priority(priority):
-    """A same-time event scheduled by a member fires before the next
-    member exactly when its (priority, sequence) key is smaller: a
-    negative priority wins over an earlier member sequence number."""
+def test_fire_many_member_yields_to_same_time_event_by_sequence():
+    """A same-time event scheduled by a member fires after the next
+    member, whose sequence number was reserved earlier."""
     def run(style):
         sim = Simulator(seed=1)
         order = []
 
         def first():
             order.append("m0")
-            sim.schedule(0.0, order.append, "event", priority=priority)
+            sim.schedule(0.0, order.append, "event")
 
         entries = [(1.0, first, ()), (1.0, order.append, ("m1",))]
         if style == "many":
@@ -564,15 +537,13 @@ def test_fire_many_member_yields_to_same_time_event_by_priority(priority):
         sim.run()
         return order
 
-    expected = (["m0", "event", "m1"] if priority < 0
-                else ["m0", "m1", "event"])
-    assert run("many") == run("scalar") == expected
+    assert run("many") == run("scalar") == ["m0", "m1", "event"]
 
 
 def test_fire_many_stop_inside_fanout_requeues_and_resumes():
     """stop() from a member callback stops exactly there: the unfired
-    members go back to the heap as plain entries, and a later run()
-    resumes with them intact."""
+    members go back to the heap, and a later run() resumes with them
+    intact."""
     sim = Simulator(seed=1)
     order = []
 
@@ -589,6 +560,19 @@ def test_fire_many_stop_inside_fanout_requeues_and_resumes():
     assert sim.fire_group_requeued == 3
     sim.run()
     assert order == [0, 1, 2, 3, 4]
+
+
+def test_fire_many_stop_requeues_the_suffix_as_one_entry():
+    sim = Simulator(seed=1)
+    sim.schedule_fire_many([(0.1, sim.stop, ())]
+                           + [(0.1 * (i + 2), lambda: None, ())
+                              for i in range(3)])
+    sim.run()
+    assert sim.pending_events == 3
+    assert sim.heap_size == 1
+    sim.run()
+    assert sim.processed_events == 4
+    assert sim.heap_size == 0
 
 
 def test_fire_many_until_bound_splits_group_and_resumes():
@@ -667,11 +651,9 @@ def test_fire_many_counts_in_heap_and_batch_stats():
     sim.schedule_fire_many([(1.0, out.append, ("a",)),
                             (1.0, out.append, ("b",))])
     # A grouped fan-out occupies ONE heap slot until it fires — that is
-    # the whole point of the batching — so pending_events (a heap-entry
-    # count) reads 1 here, not 2.  Once a run is interrupted mid-group
-    # the remainder is pushed back as individual entries and the count
-    # becomes member-level again (see the stop() test above).
-    assert sim.pending_events == 1
+    # the whole point of the batching — while pending_events counts both
+    # of its members.
+    assert sim.pending_events == 2
     assert sim.heap_size == 1
     sim.run()
     assert out == ["a", "b"]
@@ -688,7 +670,7 @@ def test_fire_many_group_counters():
     sim.schedule_fire_many([(0.1, out.append, ("a",)),
                             (0.2, out.append, ("b",)),
                             (0.3, out.append, ("c",))])
-    # A single-member batch takes the scalar path: no group counted.
+    # A single-member batch is not counted as a group.
     sim.schedule_fire_many([(0.4, out.append, ("solo",))])
     assert sim.fire_groups == 1
     assert sim.fire_group_members == 3
